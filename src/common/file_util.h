@@ -14,7 +14,7 @@ namespace cwdb {
 /// What ReadFileToString does when the file does not exist.
 enum class MissingFile {
   kError,         ///< Return NotFound.
-  kTreatAsEmpty,  ///< Return OK with *out empty (a never-written log).
+  kTreatAsEmpty,  ///< Return OK with *out empty (a never-written file).
 };
 
 /// Reads the whole file into *out. A missing file follows `missing`.

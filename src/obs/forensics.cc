@@ -25,6 +25,22 @@ void Appendf(std::string* out, const char* fmt, ...) {
   }
 }
 
+/// Newlines in the file at `path` (0 when it is missing or unreadable),
+/// counted through a fixed buffer so a long incident history is never held
+/// in memory at once.
+uint64_t CountLines(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return 0;
+  uint64_t lines = 0;
+  char buf[1 << 16];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    lines += static_cast<uint64_t>(std::count(buf, buf + n, '\n'));
+  }
+  ::close(fd);
+  return lines;
+}
+
 /// "2026-08-06T12:34:56.789Z" from nanoseconds since the Unix epoch.
 std::string Iso8601Utc(uint64_t wall_ns) {
   if (wall_ns == 0) return "unknown";
@@ -157,14 +173,7 @@ ForensicsRecorder::ForensicsRecorder(std::string dir, const DbImage* image,
       options_(options) {
   // Seed the id counter past any dossiers a previous incarnation filed, so
   // ids stay unique across the crash/restart an incident causes.
-  std::string existing;
-  if (ReadFileToString(path_, &existing, MissingFile::kTreatAsEmpty).ok()) {
-    uint64_t lines = 0;
-    for (char c : existing) {
-      if (c == '\n') ++lines;
-    }
-    next_id_ = lines + 1;
-  }
+  next_id_ = CountLines(path_) + 1;
 }
 
 uint64_t ForensicsRecorder::next_id() const {

@@ -435,6 +435,7 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
         break;
     }
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   report.redo_end = reader->position();
 
   // Prior-state model: every transaction that committed at or beyond the
@@ -460,6 +461,7 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
         }
       }
     }
+    CWDB_RETURN_IF_ERROR(discarded->status());
   }
   txns_->BumpIds(max_txn, max_op);
 
@@ -604,6 +606,7 @@ Status CacheRecoverRegions(const DbFiles& files, DbImage* image,
       std::memcpy(image->At(lo), rec.after.data() + (lo - rec.off), hi - lo);
     }
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   for (const CorruptRange& r : ranges) {
     image->MarkDirty(r.off, r.len);
   }

@@ -1,6 +1,7 @@
 #include "wal/system_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -43,7 +44,7 @@ constexpr size_t kQueueCapacity = 1024;
 /// block allocation and i_size change — measured at 2x the cost of the
 /// pure data writeback that suffices once the blocks exist, and with far
 /// heavier tails. Preallocating in big strides keeps the journal out of
-/// the commit path entirely; ScanTail classifies a zero tail as clean
+/// the commit path entirely; ScanFile classifies a zero tail as clean
 /// preallocation, so a crash anywhere in the scheme recovers as before.
 constexpr uint64_t kPreallocChunkBytes = 1 << 20;
 
@@ -53,73 +54,27 @@ constexpr uint64_t kPreallocChunkBytes = 1 << 20;
 constexpr auto kDallyQuietWindow = std::chrono::microseconds(50);
 constexpr auto kDallyDeadline = std::chrono::microseconds(300);
 
-/// Length of the valid frame prefix of `contents`.
-uint64_t ValidPrefix(const std::string& contents) {
-  uint64_t pos = 0;
-  while (pos + kFrameHeaderBytes <= contents.size()) {
-    uint32_t len = DecodeFixed32(contents.data() + pos);
-    uint32_t crc = DecodeFixed32(contents.data() + pos + 4);
-    // A zero header is preallocated file space, never a frame: appends are
-    // always non-empty (enforced at staging), and Crc32c of nothing is 0,
-    // so without this check eight zero bytes would verify as a valid empty
-    // frame and the scan would walk the whole preallocated tail.
-    if (len == 0 && crc == 0) break;
-    if (pos + kFrameHeaderBytes + len > contents.size()) break;
-    if (Crc32c(contents.data() + pos + kFrameHeaderBytes, len) != crc) break;
-    pos += kFrameHeaderBytes + len;
-  }
-  return pos;
-}
+/// Torn-vs-damaged resync bounds (see ScanFile): candidate frame offsets
+/// within this many bytes of the stop offset, and at most this many CRC
+/// evaluations.
+constexpr uint64_t kResyncWindowBytes = 1 << 20;
+constexpr size_t kResyncCrcAttempts = 1024;
 
-/// Classifies the invalid suffix (if any): torn append vs in-place damage.
-/// A torn tail is an *incomplete* final frame with nothing valid after it —
-/// the only shape a crashed append can leave, since nothing beyond the torn
-/// write was ever issued. Anything else (a complete frame failing its CRC,
-/// or a later frame that still verifies) means stable bytes were altered
-/// after they were made durable.
-WalTailScan ScanTail(const std::string& contents) {
-  WalTailScan scan;
-  scan.file_bytes = contents.size();
-  scan.valid_bytes = ValidPrefix(contents);
-  if (scan.valid_bytes >= contents.size()) return scan;
-  const uint64_t bad = scan.valid_bytes;
-  bool zero_header = false;
-  if (bad + kFrameHeaderBytes <= contents.size()) {
-    uint32_t len = DecodeFixed32(contents.data() + bad);
-    uint32_t crc = DecodeFixed32(contents.data() + bad + 4);
-    zero_header = len == 0 && crc == 0;
-    if (!zero_header && bad + kFrameHeaderBytes + len <= contents.size()) {
-      scan.damaged = true;  // Complete frame, bad CRC: payload damage.
-      scan.damage_off = bad;
-      return scan;
-    }
+/// CRC-32C of the `len` file bytes at `off`, streamed in window-sized
+/// chunks: a resync candidate whose payload runs past the bounded tail read.
+Status CrcOfFileRange(int fd, uint64_t off, uint64_t len, uint32_t* crc) {
+  std::string chunk(std::min<uint64_t>(len, kLogReadWindowBytes), '\0');
+  uint32_t c = 0;
+  while (len > 0) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(len, chunk.size()));
+    CWDB_RETURN_IF_ERROR(PReadAll(fd, chunk.data(), n, off));
+    c = Crc32cExtend(c, chunk.data(), n);
+    off += n;
+    len -= n;
   }
-  // A zero header is normally clean preallocated space; still resync-scan
-  // below, because a valid frame *after* the zeros would mean stable bytes
-  // were wiped in place rather than never written.
-  // The frame header itself may hold the damaged bytes (a flipped length
-  // word looks torn). Resync-scan a bounded window for any later frame
-  // that still verifies; finding one proves the log continued past the
-  // "tear". Bounded: 1 MiB of candidate offsets, 1024 CRC evaluations.
-  const uint64_t window_end =
-      std::min<uint64_t>(contents.size(), bad + (1ull << 20));
-  size_t crc_attempts = 0;
-  for (uint64_t off = bad + 1;
-       off + kFrameHeaderBytes <= window_end && crc_attempts < 1024; ++off) {
-    uint32_t len = DecodeFixed32(contents.data() + off);
-    uint32_t crc = DecodeFixed32(contents.data() + off + 4);
-    if (len == 0 || len > contents.size() ||
-        off + kFrameHeaderBytes + len > contents.size()) {
-      continue;
-    }
-    ++crc_attempts;
-    if (Crc32c(contents.data() + off + kFrameHeaderBytes, len) == crc) {
-      scan.damaged = true;
-      scan.damage_off = bad;
-      return scan;
-    }
-  }
-  return scan;
+  *crc = c;
+  return Status::OK();
 }
 
 }  // namespace
@@ -165,21 +120,88 @@ SystemLog::~SystemLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+Result<WalTailScan> SystemLog::ScanFile(const std::string& path) {
+  CWDB_ASSIGN_OR_RETURN(std::unique_ptr<LogReader> reader,
+                        LogReader::Open(path, 0, kInvalidLsn));
+  Slice payload;
+  while (reader->NextFrame(&payload, nullptr)) {
+  }
+  CWDB_RETURN_IF_ERROR(reader->status());
+  WalTailScan scan;
+  scan.file_bytes = reader->file_size_;
+  scan.valid_bytes = reader->position();
+  if (scan.valid_bytes >= scan.file_bytes) return scan;
+
+  // Classifies the invalid suffix: torn append vs in-place damage. A torn
+  // tail is an *incomplete* final frame with nothing valid after it — the
+  // only shape a crashed append can leave, since nothing beyond the torn
+  // write was ever issued. Anything else (a complete frame failing its CRC,
+  // or a later frame that still verifies) means stable bytes were altered
+  // after they were made durable. Every rule reads a bounded window at the
+  // stop offset, never the whole suffix.
+  const uint64_t size = scan.file_bytes;
+  const uint64_t bad = scan.valid_bytes;
+  const uint64_t window_end =
+      std::min<uint64_t>(size, bad + kResyncWindowBytes);
+  if (!reader->Fill(window_end - bad)) return reader->status();
+  if (bad + kFrameHeaderBytes <= size) {
+    uint32_t len = DecodeFixed32(reader->At(bad));
+    uint32_t crc = DecodeFixed32(reader->At(bad) + 4);
+    const bool zero_header = len == 0 && crc == 0;
+    if (!zero_header && bad + kFrameHeaderBytes + len <= size) {
+      scan.damaged = true;  // Complete frame, bad CRC: payload damage.
+      scan.damage_off = bad;
+      return scan;
+    }
+  }
+  // A zero header is normally clean preallocated space; still resync-scan
+  // below, because a valid frame *after* the zeros would mean stable bytes
+  // were wiped in place rather than never written.
+  // The frame header itself may hold the damaged bytes (a flipped length
+  // word looks torn). Resync-scan a bounded window for any later frame
+  // that still verifies; finding one proves the log continued past the
+  // "tear". Bounded: 1 MiB of candidate offsets, 1024 CRC evaluations.
+  size_t crc_attempts = 0;
+  for (uint64_t off = bad + 1; off + kFrameHeaderBytes <= window_end &&
+                               crc_attempts < kResyncCrcAttempts;
+       ++off) {
+    uint32_t len = DecodeFixed32(reader->At(off));
+    uint32_t crc = DecodeFixed32(reader->At(off) + 4);
+    if (len == 0 || len > size || off + kFrameHeaderBytes + len > size) {
+      continue;
+    }
+    ++crc_attempts;
+    const uint64_t payload_off = off + kFrameHeaderBytes;
+    uint32_t actual = 0;
+    if (payload_off + len <= window_end) {
+      actual = Crc32c(reader->At(payload_off), len);
+    } else {
+      CWDB_RETURN_IF_ERROR(
+          CrcOfFileRange(reader->fd_, payload_off, len, &actual));
+    }
+    if (actual == crc) {
+      scan.damaged = true;
+      scan.damage_off = bad;
+      return scan;
+    }
+  }
+  scan.zero_tail = std::all_of(reader->At(bad), reader->At(window_end),
+                               [](char c) { return c == '\0'; });
+  return scan;
+}
+
 Result<std::unique_ptr<SystemLog>> SystemLog::Open(const std::string& path,
                                                    MetricsRegistry* metrics,
                                                    size_t shards,
                                                    FlightRecorder* recorder) {
-  std::string contents;
-  CWDB_RETURN_IF_ERROR(
-      ReadFileToString(path, &contents, MissingFile::kTreatAsEmpty));
-  WalTailScan scan = ScanTail(contents);
+  CWDB_ASSIGN_OR_RETURN(WalTailScan scan, ScanFile(path));
   const uint64_t stable = scan.valid_bytes;
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
   // Physically drop any torn tail so appends continue from the valid prefix.
-  if (stable < contents.size()) {
+  if (stable < scan.file_bytes) {
     if (::ftruncate(fd, static_cast<off_t>(stable)) != 0) {
       Status s =
           Status::IoError("ftruncate " + path + ": " + std::strerror(errno));
@@ -397,7 +419,7 @@ void SystemLog::DrainerLoop() {
     // Coalesce the contiguous prefix at write_pos_ into one write chunk.
     // Writing only the contiguous prefix keeps the on-disk file a valid
     // frame prefix plus at most one torn frame at every instant — the
-    // shape ScanTail's torn-vs-damaged classification relies on.
+    // shape ScanFile's torn-vs-damaged classification relies on.
     std::string chunk;
     auto end_it = pending_.begin();
     const uint64_t base = write_pos_;
@@ -436,7 +458,7 @@ void SystemLog::DrainerLoop() {
       // fdatasync is the only one that pays the allocation's journal
       // commit; the rounds that follow sync pure data. A crash between
       // the extension and the sync leaves a zero tail (or a shorter
-      // file), both of which ScanTail reads as clean end of log.
+      // file), both of which ScanFile reads as clean end of log.
       io = Preallocate(base + chunk.size() + kPreallocChunkBytes);
       wrote_ok = io.ok();
     }
@@ -544,33 +566,82 @@ void SystemLog::DiscardTail() {
 
 Result<std::unique_ptr<LogReader>> LogReader::Open(const std::string& path,
                                                    Lsn start, Lsn limit) {
-  std::string contents;
-  CWDB_RETURN_IF_ERROR(
-      ReadFileToString(path, &contents, MissingFile::kTreatAsEmpty));
-  return std::unique_ptr<LogReader>(
-      new LogReader(std::move(contents), start, limit));
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) {  // A never-written log.
+      return std::unique_ptr<LogReader>(
+          new LogReader(path, -1, 0, start, limit));
+    }
+    return Status::IoError("open " + path + ": " + std::strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    Status s = Status::IoError("fstat " + path + ": " + std::strerror(errno));
+    ::close(fd);
+    return s;
+  }
+  return std::unique_ptr<LogReader>(new LogReader(
+      path, fd, static_cast<uint64_t>(st.st_size), start, limit));
+}
+
+LogReader::~LogReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool LogReader::Fill(size_t n) {
+  const uint64_t window_end = window_off_ + window_len_;
+  if (pos_ >= window_off_ && pos_ + n <= window_end) return true;
+  // Slide the window to pos_: bytes already resident move to the front,
+  // and only the rest is read.
+  size_t keep = 0;
+  if (pos_ >= window_off_ && pos_ < window_end) {
+    keep = static_cast<size_t>(window_end - pos_);
+    std::memmove(window_.data(), At(pos_), keep);
+  }
+  const size_t len = std::max<size_t>(
+      n, static_cast<size_t>(
+             std::min<uint64_t>(kLogReadWindowBytes, file_size_ - pos_)));
+  if (window_.size() < len) window_.resize(len);
+  window_off_ = pos_;
+  window_len_ = keep;
+  Status s = PReadAll(fd_, window_.data() + keep, len - keep, pos_ + keep);
+  if (!s.ok()) {
+    status_ = Status::IoError("read " + path_ + " at " +
+                              std::to_string(pos_ + keep) + ": " +
+                              s.message());
+    return false;
+  }
+  window_len_ = len;
+  return true;
+}
+
+bool LogReader::NextFrame(Slice* payload, Lsn* lsn) {
+  if (!status_.ok()) return false;
+  if (limit_ != kInvalidLsn && pos_ >= limit_) return false;
+  if (pos_ + kFrameHeaderBytes > file_size_) return false;
+  if (!Fill(kFrameHeaderBytes)) return false;
+  const uint32_t len = DecodeFixed32(At(pos_));
+  const uint32_t crc = DecodeFixed32(At(pos_) + 4);
+  // Zero header: preallocated space past the last frame. Appends are always
+  // non-empty (enforced at staging), and Crc32c of nothing is 0, so without
+  // this check eight zero bytes would verify as a valid empty frame and the
+  // scan would walk the whole preallocated tail.
+  if (len == 0 && crc == 0) return false;
+  if (pos_ + kFrameHeaderBytes + len > file_size_) return false;
+  if (!Fill(kFrameHeaderBytes + len)) return false;
+  const char* p = At(pos_ + kFrameHeaderBytes);
+  if (Crc32c(p, len) != crc) return false;  // Torn/corrupt tail.
+  if (lsn != nullptr) *lsn = pos_;
+  *payload = Slice(p, len);
+  pos_ += kFrameHeaderBytes + len;
+  return true;
 }
 
 bool LogReader::Next(LogRecord* record, Lsn* lsn) {
-  while (true) {
-    if (limit_ != kInvalidLsn && pos_ >= limit_) return false;
-    if (pos_ + kFrameHeaderBytes > contents_.size()) return false;
-    uint32_t len = DecodeFixed32(contents_.data() + pos_);
-    uint32_t crc = DecodeFixed32(contents_.data() + pos_ + 4);
-    // Zero header: preallocated space past the last frame (see ValidPrefix).
-    if (len == 0 && crc == 0) return false;
-    if (pos_ + kFrameHeaderBytes + len > contents_.size()) return false;
-    const char* payload = contents_.data() + pos_ + kFrameHeaderBytes;
-    if (Crc32c(payload, len) != crc) return false;  // Torn/corrupt tail.
-    Lsn this_lsn = pos_;
-    pos_ += kFrameHeaderBytes + len;
-    if (!DecodeLogRecord(Slice(payload, len), record)) {
-      // Framed but undecodable: treat as end of log (defensive).
-      return false;
-    }
-    if (lsn != nullptr) *lsn = this_lsn;
-    return true;
-  }
+  Slice payload;
+  if (!NextFrame(&payload, lsn)) return false;
+  // Framed but undecodable: treat as end of log (defensive).
+  return DecodeLogRecord(payload, record);
 }
 
 }  // namespace cwdb

@@ -46,7 +46,14 @@ struct WalTailScan {
   uint64_t file_bytes = 0;   ///< File size before truncation.
   bool damaged = false;
   uint64_t damage_off = 0;   ///< First bad frame offset when damaged.
+  /// Not damaged, and the invalid suffix reads back as zeros (the drainer's
+  /// preallocation: a clean end of log) rather than a torn append.
+  bool zero_tail = false;
 };
+
+/// LogReader's pread window: the most file bytes it holds at once, unless a
+/// single frame is larger (the window then grows to hold that frame).
+constexpr size_t kLogReadWindowBytes = 1 << 20;
 
 /// The system log (paper §2.1): in-memory append staging plus a stable log
 /// file on disk. Redo records are appended when operations commit; the
@@ -74,10 +81,11 @@ struct WalTailScan {
 class SystemLog {
  public:
   /// Opens (creating if needed) the stable log at `path`. Scans existing
-  /// contents to find the end of the valid prefix; a torn tail is truncated
-  /// physically (appends continue from the valid prefix). Flush latency,
-  /// batch sizes and append volume are reported into `metrics` (nullptr = a
-  /// private registry, for standalone construction in tests). `shards` is
+  /// contents to find the end of the valid prefix (ScanFile); a torn tail is
+  /// truncated physically (appends continue from the valid prefix). A read
+  /// error fails the open and never truncates. Flush latency, batch sizes
+  /// and append volume are reported into `metrics` (nullptr = a private
+  /// registry, for standalone construction in tests). `shards` is
   /// the number of append staging buffers (1 = a single buffer, the
   /// pre-sharding behavior). `recorder`, when given, mirrors the staged and
   /// durable LSN frontiers into the crash-surviving black box on the
@@ -85,6 +93,12 @@ class SystemLog {
   static Result<std::unique_ptr<SystemLog>> Open(
       const std::string& path, MetricsRegistry* metrics = nullptr,
       size_t shards = 1, FlightRecorder* recorder = nullptr);
+
+  /// The scan Open runs, without changing the file: one streaming pass
+  /// over the frames to the end of the valid prefix, then the torn-vs-
+  /// damaged classification of what follows on a bounded read there. A
+  /// missing file scans as empty; a read error is an IoError.
+  static Result<WalTailScan> ScanFile(const std::string& path);
 
   ~SystemLog();
   SystemLog(const SystemLog&) = delete;
@@ -245,29 +259,67 @@ class SystemLog {
 };
 
 /// Sequential reader over the stable system log. Stops cleanly at the first
-/// torn or corrupt frame (end of log after a crash).
+/// torn or corrupt frame (end of log after a crash). Streams the file
+/// through a pread window (kLogReadWindowBytes, or one larger frame) whose
+/// end is the file size at Open, so memory is one window plus one frame
+/// however long the log has grown.
 class LogReader {
  public:
-  /// Reads the stable log file at `path`, starting at LSN `start`. If
+  /// Opens the stable log file at `path` for reading from LSN `start`. If
   /// `limit` is not kInvalidLsn, records at or beyond it are not returned.
+  /// A missing file reads as an empty log.
   static Result<std::unique_ptr<LogReader>> Open(const std::string& path,
                                                  Lsn start, Lsn limit);
 
-  /// Returns the next record; false at end of log. `lsn` receives the
-  /// record's LSN.
+  ~LogReader();
+  LogReader(const LogReader&) = delete;
+  LogReader& operator=(const LogReader&) = delete;
+
+  /// Returns the next record; false at end of log or on a read error
+  /// (status() tells which). `lsn` receives the record's LSN.
   bool Next(LogRecord* record, Lsn* lsn);
+
+  /// OK, or the IoError of a failed read. Callers check it after their
+  /// Next loop: a read error is not an end of log.
+  const Status& status() const { return status_; }
 
   /// LSN one past the last valid frame read so far (after exhausting the
   /// reader: the end of the valid prefix).
   Lsn position() const { return pos_; }
 
  private:
-  LogReader(std::string contents, Lsn start, Lsn limit)
-      : contents_(std::move(contents)), pos_(start), limit_(limit) {}
+  friend class SystemLog;  // ScanFile walks frames and reads the tail.
 
-  std::string contents_;
+  LogReader(std::string path, int fd, uint64_t file_size, Lsn start,
+            Lsn limit)
+      : path_(std::move(path)),
+        fd_(fd),
+        file_size_(file_size),
+        pos_(start),
+        limit_(limit) {}
+
+  /// Next CRC-verified frame payload, not decoded; it stays valid until
+  /// the next call.
+  bool NextFrame(Slice* payload, Lsn* lsn);
+
+  /// Makes file bytes [pos_, pos_ + n) resident in the window (pos_ + n
+  /// must not pass file_size_). False, with status_ set, on a read error.
+  bool Fill(size_t n);
+
+  /// Window bytes at file offset `off` (resident per the last Fill).
+  const char* At(uint64_t off) const {
+    return window_.data() + (off - window_off_);
+  }
+
+  std::string path_;
+  int fd_;              ///< -1 for a missing file.
+  uint64_t file_size_;  ///< Fixed at Open: later appends are not read.
+  std::string window_;  ///< Holds file bytes [window_off_, +window_len_).
+  uint64_t window_off_ = 0;
+  size_t window_len_ = 0;
   Lsn pos_;
   Lsn limit_;
+  Status status_;
 };
 
 }  // namespace cwdb

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -139,6 +140,64 @@ TEST(Crc32c, SensitiveToSingleBit) {
   std::string b = a;
   b[3] = static_cast<char>(b[3] ^ 0x10);
   EXPECT_NE(Crc32c(a.data(), a.size()), Crc32c(b.data(), b.size()));
+}
+
+/// Random bytes with 8 bytes of slack, so a slice can start at any
+/// alignment 0-7 of the allocation.
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> buf(n + 8);
+  Random rnd(seed);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rnd.Next32());
+  return buf;
+}
+
+// The dispatched Crc32c runs the SSE4.2 tier wherever the CPU has it; the
+// table is the reference it must match bit for bit.
+TEST(Crc32c, DispatchedTierMatchesTableAtEveryLengthAndAlignment) {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    EXPECT_TRUE(Crc32cUsesHardware());
+  }
+#endif
+  std::vector<uint8_t> buf = RandomBytes(300, 11);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32c(buf.data() + align, len),
+                Crc32cExtendTable(0, buf.data() + align, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32c, DispatchedTierMatchesTableOn4MiB) {
+  std::vector<uint8_t> buf = RandomBytes(4 << 20, 12);
+  for (size_t align = 0; align < 8; ++align) {
+    EXPECT_EQ(Crc32c(buf.data() + align, 4 << 20),
+              Crc32cExtendTable(0, buf.data() + align, 4 << 20))
+        << "align " << align;
+  }
+}
+
+TEST(Crc32c, ExtendChainsAcrossSplitPoints) {
+  std::vector<uint8_t> buf = RandomBytes(1000, 13);
+  const uint8_t* p = buf.data() + 3;  // An unaligned start.
+  const size_t n = 1000;
+  const uint32_t whole = Crc32cExtendTable(0, p, n);
+  for (size_t split :
+       {0, 1, 2, 7, 8, 9, 15, 63, 64, 65, 500, 993, 999, 1000}) {
+    EXPECT_EQ(Crc32cExtend(Crc32cExtend(0, p, split), p + split, n - split),
+              whole)
+        << "split " << split;
+    // The tiers chain into each other: the running value is the same CRC.
+    EXPECT_EQ(Crc32cExtend(Crc32cExtendTable(0, p, split), p + split,
+                           n - split),
+              whole)
+        << "split " << split;
+    EXPECT_EQ(Crc32cExtendTable(Crc32cExtend(0, p, split), p + split,
+                                n - split),
+              whole)
+        << "split " << split;
+  }
 }
 
 // ---------- Coding ----------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "core/database.h"
@@ -37,7 +38,14 @@ class InterfaceTest : public ::testing::Test {
   uint32_t slot_ = 0;
 };
 
-using InterfaceDeathTest = InterfaceTest;
+/// The threadsafe death-test style re-executes the test binary, so the
+/// child runs SetUp into a TempDir of its own and dies before ~TempDir can
+/// remove it. Each death statement removes that directory first (the
+/// statement runs only in the child), so a run leaves nothing behind.
+class InterfaceDeathTest : public InterfaceTest {
+ protected:
+  void RemoveChildDir() { std::filesystem::remove_all(dir_.path()); }
+};
 
 TEST_F(InterfaceDeathTest, NestedBeginUpdateAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -46,21 +54,35 @@ TEST_F(InterfaceDeathTest, NestedBeginUpdateAborts) {
   ASSERT_OK(db_->txns()->BeginOp(*txn, OpCode::kUpdate, kMaxTables,
                                  kInvalidSlot, std::nullopt, off, 8));
   ASSERT_TRUE((*txn)->BeginUpdate(off, 8).ok());
-  EXPECT_DEATH((void)(*txn)->BeginUpdate(off + 8, 8), "nested BeginUpdate");
+  EXPECT_DEATH(
+      {
+        RemoveChildDir();
+        (void)(*txn)->BeginUpdate(off + 8, 8);
+      },
+      "nested BeginUpdate");
 }
 
 TEST_F(InterfaceDeathTest, EndUpdateWithoutBeginAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto txn = db_->Begin();
-  EXPECT_DEATH((void)(*txn)->EndUpdate(), "EndUpdate without BeginUpdate");
+  EXPECT_DEATH(
+      {
+        RemoveChildDir();
+        (void)(*txn)->EndUpdate();
+      },
+      "EndUpdate without BeginUpdate");
 }
 
 TEST_F(InterfaceDeathTest, UpdateOutsideOperationAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto txn = db_->Begin();
   DbPtr off = db_->image()->RecordOff(table_, slot_);
-  EXPECT_DEATH((void)(*txn)->BeginUpdate(off, 8),
-               "update outside an operation");
+  EXPECT_DEATH(
+      {
+        RemoveChildDir();
+        (void)(*txn)->BeginUpdate(off, 8);
+      },
+      "update outside an operation");
 }
 
 TEST_F(InterfaceDeathTest, CommitWithOpenOperationAborts) {
@@ -68,7 +90,12 @@ TEST_F(InterfaceDeathTest, CommitWithOpenOperationAborts) {
   auto txn = db_->Begin();
   ASSERT_OK(db_->txns()->BeginOp(*txn, OpCode::kUpdate, table_, slot_,
                                  std::nullopt));
-  EXPECT_DEATH((void)db_->Commit(*txn), "operation or update in flight");
+  EXPECT_DEATH(
+      {
+        RemoveChildDir();
+        (void)db_->Commit(*txn);
+      },
+      "operation or update in flight");
 }
 
 TEST_F(InterfaceTest, UpdateBoundsEnforced) {

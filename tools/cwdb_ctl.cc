@@ -61,6 +61,7 @@
 // directory without instantiating a Database.
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -162,9 +163,10 @@ int CmdInfo(const std::string& dir) {
   // Checkpointed ATT summary (decode into a scratch manager-free count).
   std::printf("checkpointed ATT : %zu bytes\n", meta.att_blob.size());
 
-  std::string log_contents;
-  if (ReadFileToString(files.SystemLog(), &log_contents).ok()) {
-    std::printf("stable log       : %zu bytes\n", log_contents.size());
+  struct stat log_st;
+  if (::stat(files.SystemLog().c_str(), &log_st) == 0) {
+    std::printf("stable log       : %" PRIu64 " bytes\n",
+                static_cast<uint64_t>(log_st.st_size));
   }
   auto audit_lsn = ReadAuditMeta(files.AuditMeta());
   if (audit_lsn.ok()) {
@@ -294,34 +296,30 @@ int CmdCheck(const std::string& dir, bool repair) {
     }
   }
 
-  auto reader = LogReader::Open(files.SystemLog(), 0, kInvalidLsn);
-  if (reader.ok()) {
-    LogRecord rec;
-    uint64_t n = 0;
-    while ((*reader)->Next(&rec, nullptr)) ++n;
-    std::string contents;
-    (void)ReadFileToString(files.SystemLog(), &contents);
-    // Past the valid prefix: all-zero bytes are the group-commit drainer's
-    // preallocation (clean end of log); anything nonzero is a torn append.
-    const char* tail_note = "";
-    if ((*reader)->position() != contents.size()) {
-      bool all_zero = true;
-      for (size_t i = (*reader)->position(); i < contents.size(); ++i) {
-        if (contents[i] != '\0') {
-          all_zero = false;
-          break;
-        }
-      }
-      tail_note = all_zero ? " (+ preallocated tail)"
-                           : " (torn tail will be discarded)";
-    }
-    std::printf("stable log       : %" PRIu64 " records, valid prefix %" PRIu64
-                "/%zu bytes%s\n",
-                n, (*reader)->position(), contents.size(), tail_note);
-  } else {
+  // The same scan SystemLog::Open runs: the valid frame prefix, then the
+  // verdict on what follows it.
+  Result<WalTailScan> scan = SystemLog::ScanFile(files.SystemLog());
+  if (!scan.ok()) {
     ++failures;
     std::printf("stable log       : FAIL (%s)\n",
-                reader.status().ToString().c_str());
+                scan.status().ToString().c_str());
+  } else {
+    const char* tail_note = "";
+    if (scan->damaged) {
+      ++failures;
+      tail_note = " (DAMAGED: stable bytes altered in place)";
+    } else if (scan->valid_bytes < scan->file_bytes) {
+      tail_note = scan->zero_tail ? " (+ preallocated tail)"
+                                  : " (torn tail will be discarded)";
+    }
+    std::printf("stable log       : valid prefix %" PRIu64 "/%" PRIu64
+                " bytes%s\n",
+                scan->valid_bytes, scan->file_bytes, tail_note);
+    if (scan->damaged) {
+      std::printf("  first bad frame at byte %" PRIu64
+                  "; the next open truncates there and files a dossier\n",
+                  scan->damage_off);
+    }
   }
   return failures == 0 ? 0 : 1;
 }
@@ -376,6 +374,10 @@ int CmdLogDump(const std::string& dir, Lsn from) {
         break;
     }
     std::printf("\n");
+  }
+  if (!(*reader)->status().ok()) {
+    std::fprintf(stderr, "%s\n", (*reader)->status().ToString().c_str());
+    return 1;
   }
   std::printf("-- end of valid log at %" PRIu64 " --\n", (*reader)->position());
   return 0;
