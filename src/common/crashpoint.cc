@@ -263,9 +263,12 @@ Status Check(const char* name) {
   return Status::OK();
 }
 
-Status InjectedPWrite(const char* name, int fd, const void* data, size_t len,
-                      uint64_t offset) {
-  Spec spec = OnHit(name);
+namespace {
+
+/// The write half of a hit on a write point: `data` written, torn, flipped
+/// or refused as `spec` says.
+Status ApplyToWrite(const Spec& spec, const char* name, int fd,
+                    const void* data, size_t len, uint64_t offset) {
   switch (spec.mode) {
     case Mode::kOff:
       break;
@@ -292,6 +295,26 @@ Status InjectedPWrite(const char* name, int fd, const void* data, size_t len,
     }
   }
   return PWriteAll(fd, data, len, offset);
+}
+
+}  // namespace
+
+Status InjectedPWrite(const char* name, int fd, const void* data, size_t len,
+                      uint64_t offset) {
+  return ApplyToWrite(OnHit(name), name, fd, data, len, offset);
+}
+
+Status InjectedPWriteV(const char* name, int fd, struct iovec* iov, int iovcnt,
+                       uint64_t offset) {
+  const Spec spec = OnHit(name);
+  if (spec.mode == Mode::kOff) return PWriteVAll(fd, iov, iovcnt, offset);
+  // Armed (a crash test): tear or flip the buffers as the one write they
+  // stand for.
+  std::string flat;
+  for (int i = 0; i < iovcnt; ++i) {
+    flat.append(static_cast<const char*>(iov[i].iov_base), iov[i].iov_len);
+  }
+  return ApplyToWrite(spec, name, fd, flat.data(), flat.size(), offset);
 }
 
 }  // namespace crashpoint

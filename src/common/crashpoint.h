@@ -1,6 +1,8 @@
 #ifndef CWDB_COMMON_CRASHPOINT_H_
 #define CWDB_COMMON_CRASHPOINT_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -96,6 +98,12 @@ Status Check(const char* name);
 /// bit and carries on.
 Status InjectedPWrite(const char* name, int fd, const void* data, size_t len,
                       uint64_t offset);
+
+/// InjectedPWrite over the `iovcnt` buffers of `iov` laid end to end: one
+/// hit of the point for the lot, and one gathered write (PWriteVAll) when
+/// the point is not armed. `iov` may be modified.
+Status InjectedPWriteV(const char* name, int fd, struct iovec* iov, int iovcnt,
+                       uint64_t offset);
 
 }  // namespace crashpoint
 }  // namespace cwdb

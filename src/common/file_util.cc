@@ -104,6 +104,28 @@ Status PWriteAll(int fd, const void* data, size_t len, uint64_t offset) {
   return Status::OK();
 }
 
+Status PWriteVAll(int fd, struct iovec* iov, int iovcnt, uint64_t offset) {
+  while (iovcnt > 0) {
+    ssize_t n = ::pwritev(fd, iov, iovcnt, static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("pwritev: ") + std::strerror(errno));
+    }
+    offset += static_cast<uint64_t>(n);
+    size_t left = static_cast<size_t>(n);
+    while (iovcnt > 0 && left >= iov->iov_len) {  // Fully written buffers.
+      left -= iov->iov_len;
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt > 0) {  // A short write stopped inside this one.
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return Status::OK();
+}
+
 Status PReadAll(int fd, void* data, size_t len, uint64_t offset) {
   char* p = static_cast<char*>(data);
   size_t done = 0;

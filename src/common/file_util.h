@@ -1,6 +1,8 @@
 #ifndef CWDB_COMMON_FILE_UTIL_H_
 #define CWDB_COMMON_FILE_UTIL_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <string>
 
@@ -32,6 +34,10 @@ Status WriteFileAtomic(const std::string& path, const std::string& data,
 
 /// pwrite the full buffer at `offset` of the (pre-opened) fd.
 Status PWriteAll(int fd, const void* data, size_t len, uint64_t offset);
+
+/// pwritev the `iovcnt` buffers of `iov`, end to end, at `offset`. `iov`
+/// is advanced past what short writes wrote.
+Status PWriteVAll(int fd, struct iovec* iov, int iovcnt, uint64_t offset);
 
 /// pread exactly `len` bytes at `offset`.
 Status PReadAll(int fd, void* data, size_t len, uint64_t offset);

@@ -6,7 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -37,10 +37,17 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 ///    recovery, §2.1) — released explicitly when the operation commits.
 ///
 /// The lock table is sharded: lock ids hash onto `shards` independent
-/// segments, each with its own mutex, condition variable, lock map and
-/// per-transaction held-lock index — so transactions touching disjoint
+/// segments, each with its own mutex, condition variable, lock table and
+/// per-transaction held-lock lists — so transactions touching disjoint
 /// data never contend on lock-manager state, and ReleaseAll walks only the
 /// locks the transaction actually holds instead of the whole table.
+///
+/// Inside a segment, an uncontended grant or release does not touch the
+/// allocator once the segment has warmed up: the lock table is a hash map
+/// whose entries carry a flat holder list, and the node of an entry whose
+/// last holder and waiter leave is extracted onto a capped spare list and
+/// reused, holder capacity and all; each transaction's held lock ids are
+/// one vector, also recycled.
 ///
 /// Deadlock detection stays global and *precise*: a single waits-for map
 /// (guarded by its own mutex, always acquired after a segment mutex, never
@@ -56,7 +63,9 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 ///    manufacture a false cycle).
 /// The cycle search therefore never needs a segment mutex — it walks only
 /// the waits-for map. The *requesting* transaction is the victim and gets
-/// kDeadlock.
+/// kDeadlock, unless it is rolling back: a rollback must finish, so a
+/// sleeping cycle member that is not rolling back is chosen instead, woken,
+/// and handed kDeadlock, while the requester waits for the cycle to break.
 class LockManager {
  public:
   /// `shards` = number of lock-table segments (rounded up to a power of
@@ -73,8 +82,11 @@ class LockManager {
 
   /// Blocks until granted or deadlock. Re-entrant: a transaction already
   /// holding the lock in a mode >= `mode` is granted immediately; a shared
-  /// holder requesting exclusive is upgraded when possible.
-  Status Acquire(TxnId txn, LockId id, LockMode mode);
+  /// holder requesting exclusive is upgraded when possible. `in_rollback`
+  /// marks a requester that must not be the deadlock victim (see above);
+  /// it still gets kDeadlock when no other cycle member can abort.
+  Status Acquire(TxnId txn, LockId id, LockMode mode,
+                 bool in_rollback = false);
 
   /// Releases one lock (operation-duration locks at operation commit).
   void Release(TxnId txn, LockId id);
@@ -94,22 +106,62 @@ class LockManager {
   size_t shard_count() const { return segments_.size(); }
 
  private:
+  struct Holder {
+    TxnId txn;
+    LockMode mode;
+  };
+
+  /// A lock-table entry, in the table while the lock has a holder or a
+  /// waiter.
   struct Entry {
-    // Holders and their modes. Exclusive implies it is the only holder
-    // (except during upgrade, where the upgrader is also a shared holder).
-    std::map<TxnId, LockMode> holders;
+    /// Exclusive implies a sole holder (except during upgrade, where the
+    /// upgrader is also a shared holder).
+    std::vector<Holder> holders;
     int waiters = 0;
+
+    Holder* Find(TxnId txn);
+  };
+
+  struct LockIdHash {
+    size_t operator()(LockId id) const noexcept;
+  };
+  using EntryMap = std::unordered_map<LockId, Entry, LockIdHash>;
+
+  /// The lock ids one transaction holds in one segment.
+  struct Held {
+    TxnId txn = 0;
+    std::vector<LockId> ids;
   };
 
   /// One lock-table segment. Padded so neighboring segments' mutexes do
   /// not share a cache line.
   struct alignas(64) Segment {
+    /// The live entry for `id`, or nullptr.
+    Entry* Find(LockId id);
+    /// The live entry for `id`, made from a spare node (or allocated) when
+    /// there is none.
+    Entry* FindOrAdd(LockId id);
+    /// Removes `id`'s entry, which has no holder and no waiter, and parks
+    /// its node.
+    void Retire(LockId id);
+    /// Keeps an extracted node for reuse, or frees it at the cap.
+    void Park(EntryMap::node_type node);
+    /// `txn`'s held list, or nullptr / a recycled empty one.
+    Held* FindHeld(TxnId txn);
+    Held& HeldFor(TxnId txn);
+    /// Empties `h` and returns it to the spares.
+    void DropHeld(Held* h);
+    /// Retires every entry and held list (Clear).
+    void Reset();
+
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::map<LockId, Entry> locks;
-    /// Per-transaction index of held lock ids in this segment, so
-    /// ReleaseAll is O(locks held), not O(locks in the table).
-    std::map<TxnId, std::set<LockId>> held;
+    EntryMap table;
+    std::vector<EntryMap::node_type> spare;  ///< Retired entries, capped.
+    /// held[0, held_live) belong to transactions; the rest are spares
+    /// that keep their id vectors' capacity.
+    std::vector<Held> held;
+    size_t held_live = 0;
     Counter* waits = nullptr;  ///< Per-segment wait counter.
   };
 
@@ -118,6 +170,10 @@ class LockManager {
     LockId id;
     LockMode mode;
     std::vector<TxnId> blockers;
+    bool may_abort = true;  ///< False while the waiter is rolling back.
+    /// Picked to break a cycle its rollback partner cannot: on waking it
+    /// returns kDeadlock. A doomed waiter has no outgoing edges.
+    bool doomed = false;
   };
 
   Segment& SegmentFor(LockId id);
@@ -127,9 +183,13 @@ class LockManager {
   /// Conflicting holders of `e` from `txn`'s point of view.
   static std::vector<TxnId> ConflictingHolders(const Entry& e, TxnId txn,
                                                LockMode mode);
-  /// True if `txn`, blocked by `blockers`, transitively waits for itself.
+  /// True if `txn`, blocked by `blockers`, transitively waits for itself;
+  /// `members`, when given, receives the cycle's other transactions.
   /// wf_mu_ held by the caller.
-  bool CycleFrom(TxnId txn, const std::vector<TxnId>& blockers) const;
+  bool FindCycle(TxnId txn, const std::vector<TxnId>& blockers,
+                 std::vector<TxnId>* members) const;
+  /// The youngest cycle member that may abort, or nullptr. wf_mu_ held.
+  Waiter* PickVictim(const std::vector<TxnId>& members);
 
   std::vector<std::unique_ptr<Segment>> segments_;
   size_t segment_mask_;

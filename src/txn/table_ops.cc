@@ -26,9 +26,10 @@ Status ValidateTable(const DbImage& image, TableId table,
 }
 
 /// Lock acquisition that tolerates being on a rollback path: a rollback
-/// must eventually succeed, so a deadlock verdict against it is retried
-/// after a yield (operation locks are short-duration, so the conflicting
-/// holder makes progress). In recovery mode locks are skipped entirely.
+/// must eventually succeed, so the lock manager breaks a cycle through it
+/// by aborting another member. Only a cycle of rollbacks alone still
+/// answers kDeadlock, which is retried after a yield. In recovery mode
+/// locks are skipped entirely.
 Status AcquireLock(TxnManager& mgr, Transaction* txn, LockId id,
                    LockMode mode) {
   if (mgr.recovery_mode()) return Status::OK();
@@ -36,7 +37,7 @@ Status AcquireLock(TxnManager& mgr, Transaction* txn, LockId id,
   // context in TLS so its blocking path can attach lock-wait spans.
   ScopedSpanContext ambient(txn->trace_ctx());
   while (true) {
-    Status s = mgr.locks().Acquire(txn->id(), id, mode);
+    Status s = mgr.locks().Acquire(txn->id(), id, mode, txn->in_rollback());
     if (s.ok() || !s.IsDeadlock() || !txn->in_rollback()) return s;
     std::this_thread::yield();
   }

@@ -56,10 +56,8 @@ Status Transaction::EndUpdate() {
     before_cksum = CodewordFold(off & 3, update_before_.data(), len);
     cksum_ptr = &before_cksum;
   }
-  std::string payload;
-  EncodePhysRedo(&payload, id_, off,
-                 Slice(reinterpret_cast<const char*>(after), len), cksum_ptr);
-  local_redo_.push_back(std::move(payload));
+  AppendFrame(&local_redo_, EncodePhysRedo, id_, off,
+              Slice(reinterpret_cast<const char*>(after), len), cksum_ptr);
 
   mgr_->image()->MarkDirty(off, len);
   const uint64_t fold_t0 = trace_ctx_.sampled() ? NowNs() : 0;
@@ -109,9 +107,7 @@ Status Transaction::Read(DbPtr off, void* out, uint32_t len) {
       cksum = CodewordFold(off & 3, out, len);
       cksum_ptr = &cksum;
     }
-    std::string payload;
-    EncodeReadLog(&payload, id_, off, len, cksum_ptr);
-    local_redo_.push_back(std::move(payload));
+    AppendFrame(&local_redo_, EncodeReadLog, id_, off, len, cksum_ptr);
   }
   return Status::OK();
 }

@@ -47,9 +47,9 @@ struct OpenOp {
   OpCode opcode = OpCode::kInsert;
   /// Lower-level (operation-duration) lock to release at operation commit.
   std::optional<LockId> op_lock;
-  /// Lengths of the undo log / local redo buffer at BeginOp, used to
-  /// replace physical undo with logical undo at CommitOp, and to discard
-  /// the operation's redo on operation abort.
+  /// Length of the undo log (entries) and of the local redo buffer
+  /// (bytes) at BeginOp, used to replace physical undo with logical undo
+  /// at CommitOp, and to discard the operation's redo on operation abort.
   size_t undo_mark = 0;
   size_t redo_mark = 0;
 };
@@ -120,10 +120,11 @@ class Transaction {
   State state_ = State::kActive;
 
   std::vector<UndoRecord> undo_;
-  /// Encoded record payloads not yet moved to the system log tail. Moved
-  /// at operation commit (before lower-level locks are released) and at
+  /// Records not yet moved to the system log tail, each encoded once,
+  /// directly as its on-disk frame (AppendFrame). Moved as one run at
+  /// operation commit (before lower-level locks are released) and at
   /// transaction commit/abort.
-  std::vector<std::string> local_redo_;
+  std::string local_redo_;
 
   std::optional<OpenOp> open_op_;
 

@@ -39,9 +39,7 @@ Result<Transaction*> TxnManager::Begin() {
       tracer->Record(raw->trace_ctx_, SpanKind::kTxnBegin, t0, NowNs(), id);
     }
   }
-  std::string payload;
-  EncodeBeginTxn(&payload, id);
-  raw->local_redo_.push_back(std::move(payload));
+  AppendFrame(&raw->local_redo_, EncodeBeginTxn, id);
   att_[id] = std::move(txn);
   ins_.active->Add(1);
   return raw;
@@ -50,9 +48,10 @@ Result<Transaction*> TxnManager::Begin() {
 void TxnManager::MoveRedoToSystemLog(Transaction* txn,
                                      const SpanContext* trace) {
   // One batched staging call: a single LSN reservation for the whole local
-  // redo buffer, so an operation's records occupy contiguous LSNs and the
-  // append path touches its shard mutex once per operation commit.
-  log_->AppendAll(txn->local_redo_, trace);
+  // redo buffer, already framed, so an operation's records occupy
+  // contiguous LSNs and the append path touches its shard mutex and copies
+  // the bytes once per operation commit.
+  log_->AppendFrames(txn->local_redo_, trace);
   txn->local_redo_.clear();
 }
 
@@ -69,10 +68,8 @@ Status TxnManager::BeginOp(Transaction* txn, OpCode opcode, TableId table,
   op.op_lock = op_lock;
   op.undo_mark = txn->undo_.size();
   op.redo_mark = txn->local_redo_.size();
-  std::string payload;
-  EncodeBeginOp(&payload, txn->id_, op.op_id, op.level, opcode, table, slot,
-                raw_off, raw_len);
-  txn->local_redo_.push_back(std::move(payload));
+  AppendFrame(&txn->local_redo_, EncodeBeginOp, txn->id_, op.op_id, op.level,
+              opcode, table, slot, raw_off, raw_len);
   txn->open_op_ = op;
   return Status::OK();
 }
@@ -81,9 +78,8 @@ Status TxnManager::CommitOp(Transaction* txn, const LogicalUndo& undo) {
   CWDB_CHECK(txn->open_op_.has_value());
   CWDB_CHECK(!txn->update_active_);
   OpenOp op = *txn->open_op_;
-  std::string payload;
-  EncodeCommitOp(&payload, txn->id_, op.op_id, op.level, undo);
-  txn->local_redo_.push_back(std::move(payload));
+  AppendFrame(&txn->local_redo_, EncodeCommitOp, txn->id_, op.op_id, op.level,
+              undo);
   {
     // The undo-log rewrite and the move of redo to the system log happen
     // atomically with respect to the checkpointer's ATT copy.
@@ -229,9 +225,7 @@ Status TxnManager::Rollback(Transaction* txn) {
 
   CWDB_RETURN_IF_ERROR(UndoDownTo(txn, 0));
 
-  std::string payload;
-  EncodeAbortTxn(&payload, txn->id_);
-  txn->local_redo_.push_back(std::move(payload));
+  AppendFrame(&txn->local_redo_, EncodeAbortTxn, txn->id_);
   {
     SharedGuard guard(ckpt_latch_);
     MoveRedoToSystemLog(txn);
@@ -258,9 +252,7 @@ Status TxnManager::Commit(Transaction* txn) {
     flush_span = tracer->NewSpanId();
     flush_ctx = ctx.Under(flush_span);
   }
-  std::string payload;
-  EncodeCommitTxn(&payload, txn->id_);
-  txn->local_redo_.push_back(std::move(payload));
+  AppendFrame(&txn->local_redo_, EncodeCommitTxn, txn->id_);
   uint64_t t_stage_end = 0;
   {
     SharedGuard guard(ckpt_latch_);
@@ -341,9 +333,7 @@ void TxnManager::DropRecovered(TxnId id) {
 Status TxnManager::FinishRecoveredRollback(Transaction* txn) {
   CWDB_CHECK(recovery_mode_);
   CWDB_CHECK(txn->undo_.empty());
-  std::string payload;
-  EncodeAbortTxn(&payload, txn->id_);
-  txn->local_redo_.push_back(std::move(payload));
+  AppendFrame(&txn->local_redo_, EncodeAbortTxn, txn->id_);
   MoveRedoToSystemLog(txn);
   txn->in_rollback_ = false;
   txn->state_ = Transaction::State::kAborted;

@@ -156,9 +156,9 @@ class TxnManager {
  private:
   friend class Transaction;
 
-  /// Appends every pending local-redo payload of `txn` to the system log
-  /// tail (the paper's "redo log records are moved from the local redo log
-  /// to the system log tail"). `trace`, when sampled, rides the staged
+  /// Appends `txn`'s pending local-redo frames to the system log tail as
+  /// one run (the paper's "redo log records are moved from the local redo
+  /// log to the system log tail"). `trace`, when sampled, rides the staged
   /// frames to the drainer so its spans join the commit's trace (Commit
   /// passes the flush-wait context; mid-transaction moves pass nothing).
   void MoveRedoToSystemLog(Transaction* txn,

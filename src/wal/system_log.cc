@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,16 +23,16 @@ namespace cwdb {
 
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc.
-
 /// A shard publishes its staged frames to the drainer queue once they pass
 /// this size, so a long transaction's redo streams out incrementally
 /// instead of arriving as one giant batch at commit.
 constexpr size_t kPublishThresholdBytes = 32 << 10;
 
-/// Upper bound on one pwrite chunk. A round with a larger backlog writes
-/// multiple chunks (and only fsyncs after the last one it needs).
+/// Upper bound on one write: its bytes, and its runs (IOV_MAX on Linux).
+/// A round with a larger backlog writes several (and only fsyncs after the
+/// last one it needs).
 constexpr size_t kMaxWriteChunkBytes = 4 << 20;
+constexpr size_t kMaxWriteRuns = 1024;
 
 /// Capacity of the lock-free batch queue (batches, not bytes). At the
 /// publish threshold this is ~32 MB of backlog before producers have to
@@ -78,6 +79,19 @@ Status CrcOfFileRange(int fd, uint64_t off, uint64_t len, uint32_t* crc) {
 }
 
 }  // namespace
+
+void SealFrame(std::string* buf, size_t start) {
+  char* frame = buf->data() + start;
+  const size_t len = buf->size() - start - kFrameHeaderBytes;
+  // Empty frames are indistinguishable from preallocated zeros on disk
+  // (Crc32c of nothing is 0), so the recovery scan treats a zero header as
+  // end of log; staging one would silently end the log early.
+  CWDB_DCHECK(len > 0) << "empty log payload";
+  const uint32_t header[2] = {
+      static_cast<uint32_t>(len),
+      Crc32c(frame + kFrameHeaderBytes, len)};
+  std::memcpy(frame, header, sizeof(header));
+}
 
 SystemLog::SystemLog(std::string path, int fd, uint64_t stable_size,
                      MetricsRegistry* metrics, size_t shards)
@@ -239,83 +253,96 @@ size_t SystemLog::ShardIndex() const {
   return token % shards_.size();
 }
 
-Lsn SystemLog::StageFrameLocked(AppendShard& sh, Slice payload) {
-  // Empty frames are indistinguishable from preallocated zeros on disk
-  // (Crc32c of nothing is 0), so the recovery scan treats a zero header as
-  // end of log; staging one would silently end the log early.
-  CWDB_DCHECK(!payload.empty()) << "empty log payload";
-  const uint64_t frame_bytes = kFrameHeaderBytes + payload.size();
-  Lsn lsn = logical_end_.fetch_add(frame_bytes, std::memory_order_acq_rel);
-  std::string frame;
-  frame.reserve(frame_bytes);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, Crc32c(payload.data(), payload.size()));
-  frame.append(payload.data(), payload.size());
-  sh.frames.emplace_back(lsn, std::move(frame));
-  sh.bytes += frame_bytes;
-  ins_.bytes_appended->Add(frame_bytes);
+void SystemLog::NoteStagedLocked(AppendShard& sh, Lsn lsn, size_t len,
+                             size_t frames) {
+  std::vector<Run>& runs = sh.staged.runs;
+  if (!runs.empty() && runs.back().lsn + runs.back().len == lsn) {
+    runs.back().len += len;  // No other shard appended in between.
+  } else {
+    runs.push_back(Run{lsn, len});
+  }
+  ins_.appends->Add(frames);
+  sh.appends->Add(frames);
+  ins_.bytes_appended->Add(len);
   if (recorder_ != nullptr) {
     // Mirror the staged frontier into the black box: one relaxed store on
     // a path that already holds the shard mutex — no new synchronization.
-    recorder_->NoteStagedLsn(sh.index, lsn + frame_bytes);
+    recorder_->NoteStagedLsn(sh.index, lsn + len);
   }
-  return lsn;
+  if (sh.staged.bytes.size() >= kPublishThresholdBytes) PublishLocked(sh);
+  ins_.tail_bytes->Set(static_cast<int64_t>(
+      logical_end_.load(std::memory_order_relaxed) -
+      durable_.load(std::memory_order_relaxed)));
 }
 
 void SystemLog::PublishLocked(AppendShard& sh) {
-  if (sh.frames.empty()) return;
+  if (sh.staged.runs.empty()) return;
+  // Copied rather than moved, so the shard's buffer keeps its capacity:
+  // Flush publishes every shard, however little each has staged.
   auto batch = std::make_unique<Batch>();
-  batch->frames = std::move(sh.frames);
+  batch->staged = sh.staged;
   batch->tags = std::move(sh.tags);
-  sh.frames.clear();
+  sh.staged.bytes.clear();
+  sh.staged.runs.clear();
   sh.tags.clear();
-  sh.bytes = 0;
+  if (sh.staged.bytes.capacity() > 2 * kPublishThresholdBytes) {
+    // One oversized append grew it; do not keep that for good.
+    std::string().swap(sh.staged.bytes);
+  }
   // The queue-wait clock starts now: the tag is in flight to the drainer.
   if (!batch->tags.empty()) {
     const uint64_t now = NowNs();
     for (WalTraceTag& tag : batch->tags) tag.publish_ns = now;
   }
   // The queue is bounded; when it is full the drainer is far behind, so
-  // yielding to it is the right (and rare) backpressure.
-  while (!queue_.TryPush(batch.get())) std::this_thread::yield();
+  // yielding to it is the right (and rare) backpressure. The drainer only
+  // wakes for flush requests, and a run of aborts commits nothing, so a
+  // full queue also asks it to drain: otherwise this publisher spins on
+  // the shard mutex that every Flush needs, and nothing ever drains.
+  while (!queue_.TryPush(batch.get())) {
+    {
+      std::lock_guard<std::mutex> guard(drain_mu_);
+      drain_backlog_ = true;
+    }
+    drain_cv_.notify_one();
+    std::this_thread::yield();
+  }
   batch.release();
 }
 
 Lsn SystemLog::Append(Slice payload) {
   AppendShard& sh = *shards_[ShardIndex()];
   std::lock_guard<std::mutex> guard(sh.mu);
-  Lsn lsn = StageFrameLocked(sh, payload);
-  ins_.appends->Add();
-  sh.appends->Add();
-  if (sh.bytes >= kPublishThresholdBytes) PublishLocked(sh);
-  ins_.tail_bytes->Set(static_cast<int64_t>(
-      logical_end_.load(std::memory_order_relaxed) -
-      durable_.load(std::memory_order_relaxed)));
+  const size_t frame_bytes = kFrameHeaderBytes + payload.size();
+  // LSNs are reserved under the shard mutex, so each shard's runs stay in
+  // LSN order.
+  const Lsn lsn =
+      logical_end_.fetch_add(frame_bytes, std::memory_order_acq_rel);
+  AppendFrame(
+      &sh.staged.bytes,
+      [](std::string* dst, Slice p) { dst->append(p.data(), p.size()); },
+      payload);
+  NoteStagedLocked(sh, lsn, frame_bytes, 1);
   return lsn;
 }
 
-Lsn SystemLog::AppendAll(const std::vector<std::string>& payloads,
-                         const SpanContext* trace) {
-  if (payloads.empty()) return CurrentLsn();
+Lsn SystemLog::AppendFrames(Slice frames, const SpanContext* trace) {
+  if (frames.empty()) return CurrentLsn();
+  size_t count = 0;
+  for (size_t at = 0; at < frames.size(); ++count) {
+    at += kFrameHeaderBytes + DecodeFixed32(frames.data() + at);
+    CWDB_DCHECK(at <= frames.size()) << "partial frame in run";
+  }
   AppendShard& sh = *shards_[ShardIndex()];
   std::lock_guard<std::mutex> guard(sh.mu);
-  Lsn first = kInvalidLsn;
-  Lsn end = 0;
-  for (const std::string& payload : payloads) {
-    Lsn lsn = StageFrameLocked(sh, payload);
-    if (first == kInvalidLsn) first = lsn;
-    end = lsn + kFrameHeaderBytes + payload.size();
-  }
+  const Lsn lsn =
+      logical_end_.fetch_add(frames.size(), std::memory_order_acq_rel);
+  sh.staged.bytes.append(frames.data(), frames.size());
   if (trace != nullptr && trace->sampled()) {
-    sh.tags.push_back(WalTraceTag{*trace, 0, end});
+    sh.tags.push_back(WalTraceTag{*trace, 0, lsn + frames.size()});
   }
-  ins_.appends->Add(payloads.size());
-  sh.appends->Add(payloads.size());
-  if (sh.bytes >= kPublishThresholdBytes) PublishLocked(sh);
-  ins_.tail_bytes->Set(static_cast<int64_t>(
-      logical_end_.load(std::memory_order_relaxed) -
-      durable_.load(std::memory_order_relaxed)));
-  return first;
+  NoteStagedLocked(sh, lsn, frames.size(), count);
+  return lsn;
 }
 
 Status SystemLog::Preallocate(uint64_t new_end) {
@@ -364,11 +391,13 @@ Status SystemLog::Flush() {
 }
 
 void SystemLog::DrainerLoop() {
+  std::vector<iovec> iov;  // One round's write, reused.
   std::unique_lock<std::mutex> guard(drain_mu_);
   for (;;) {
     drain_cv_.wait(guard, [&] {
-      return stop_ || (flush_target_ > durable_.load(std::memory_order_relaxed) &&
-                       request_seq_ > failed_req_);
+      return stop_ || drain_backlog_ ||
+             (flush_target_ > durable_.load(std::memory_order_relaxed) &&
+              request_seq_ > failed_req_);
     });
     if (stop_) return;
 
@@ -399,11 +428,19 @@ void SystemLog::DrainerLoop() {
     // close their queue-wait span here (publish -> pop is the cross-thread
     // hop) and park in traced_ until the durable frontier passes them.
     bool popped = false;
+    drain_backlog_ = false;
     Batch* batch = nullptr;
     while (queue_.TryPop(&batch)) {
       popped = true;
-      for (auto& f : batch->frames) {
-        pending_.emplace(f.first, std::move(f.second));
+      const Staged& staged = batch->staged;
+      if (staged.runs.size() == 1) {
+        pending_.emplace(staged.runs[0].lsn, std::move(batch->staged.bytes));
+      } else {
+        size_t off = 0;
+        for (const Run& run : staged.runs) {
+          pending_.emplace(run.lsn, staged.bytes.substr(off, run.len));
+          off += run.len;
+        }
       }
       if (!batch->tags.empty()) {
         const uint64_t now = NowNs();
@@ -416,22 +453,27 @@ void SystemLog::DrainerLoop() {
       delete batch;
     }
 
-    // Coalesce the contiguous prefix at write_pos_ into one write chunk.
+    // Gather the contiguous prefix at write_pos_ into one write, straight
+    // from the pending runs: the drainer keeps no write buffer, which
+    // malloc would otherwise hold at its high-water mark for good.
     // Writing only the contiguous prefix keeps the on-disk file a valid
     // frame prefix plus at most one torn frame at every instant — the
-    // shape ScanFile's torn-vs-damaged classification relies on.
-    std::string chunk;
+    // shape ScanFile's torn-vs-damaged classification relies on. Only the
+    // drainer touches pending_, and DiscardTail waits out the round, so
+    // the runs stay put while the latch is released for the write.
+    iov.clear();
     auto end_it = pending_.begin();
     const uint64_t base = write_pos_;
     uint64_t pos = base;
     while (end_it != pending_.end() && end_it->first == pos &&
-           chunk.size() < kMaxWriteChunkBytes) {
-      chunk.append(end_it->second);
+           pos - base < kMaxWriteChunkBytes && iov.size() < kMaxWriteRuns) {
+      iov.push_back(iovec{end_it->second.data(), end_it->second.size()});
       pos += end_it->second.size();
       ++end_it;
     }
+    const uint64_t write_bytes = pos - base;
     const bool do_sync = pos >= flush_target_;
-    if (chunk.empty() && !do_sync) {
+    if (write_bytes == 0 && !do_sync) {
       // Transient gap: a publisher has reserved LSNs at write_pos_ but its
       // TryPush has not landed yet. Yield briefly and re-pop.
       if (!popped) {
@@ -452,19 +494,19 @@ void SystemLog::DrainerLoop() {
     const uint64_t t0 = NowNs();
     Status io;
     bool wrote_ok = true;
-    if (!chunk.empty() && base + chunk.size() + kFrameHeaderBytes >
-                              alloc_end_) {
+    if (write_bytes > 0 &&
+        base + write_bytes + kFrameHeaderBytes > alloc_end_) {
       // Zero-extend a full stride past the frontier so this round's
       // fdatasync is the only one that pays the allocation's journal
       // commit; the rounds that follow sync pure data. A crash between
       // the extension and the sync leaves a zero tail (or a shorter
       // file), both of which ScanFile reads as clean end of log.
-      io = Preallocate(base + chunk.size() + kPreallocChunkBytes);
+      io = Preallocate(base + write_bytes + kPreallocChunkBytes);
       wrote_ok = io.ok();
     }
-    if (io.ok() && !chunk.empty()) {
-      io = crashpoint::InjectedPWrite("wal.flush.pwrite", fd_, chunk.data(),
-                                      chunk.size(), base);
+    if (io.ok() && write_bytes > 0) {
+      io = crashpoint::InjectedPWriteV("wal.flush.pwrite", fd_, iov.data(),
+                                       static_cast<int>(iov.size()), base);
       wrote_ok = io.ok();
     }
     const uint64_t t_write_end = NowNs();
@@ -479,7 +521,7 @@ void SystemLog::DrainerLoop() {
 
     guard.lock();
     in_round_ = false;
-    if (wrote_ok && !chunk.empty()) {
+    if (wrote_ok && write_bytes > 0) {
       // The bytes are in the file (synced or not); the frames need never
       // be rewritten, so a failed fsync retries as a pure-sync round.
       write_pos_ = pos;
@@ -512,9 +554,9 @@ void SystemLog::DrainerLoop() {
               *keep++ = *it;
               continue;
             }
-            if (!chunk.empty()) {
+            if (write_bytes > 0) {
               it->ctx.tracer->Record(it->ctx, SpanKind::kDrainBatch, t0,
-                                     t_write_end, chunk.size(), 0);
+                                     t_write_end, write_bytes, 0);
             }
             it->ctx.tracer->Record(it->ctx, SpanKind::kFsync, t_write_end,
                                    t_sync_end, advance, 0);
@@ -539,9 +581,9 @@ void SystemLog::DiscardTail() {
   // Volatile staging dies first (what a process failure loses)...
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> guard(shard->mu);
-    shard->frames.clear();
+    shard->staged.bytes.clear();
+    shard->staged.runs.clear();
     shard->tags.clear();
-    shard->bytes = 0;
   }
   std::unique_lock<std::mutex> guard(drain_mu_);
   // ...then wait out any in-flight I/O round and drop everything that is

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -55,6 +56,25 @@ struct WalTailScan {
 /// single frame is larger (the window then grows to hold that frame).
 constexpr size_t kLogReadWindowBytes = 1 << 20;
 
+/// A frame's header: [u32 payload_len][u32 crc32c], little-endian.
+constexpr size_t kFrameHeaderBytes = 8;
+
+/// Fills in the header of the frame that starts at `start` in `buf` and
+/// whose payload runs to the end of `buf`.
+void SealFrame(std::string* buf, size_t start);
+
+/// Appends one record to `buf` as its on-disk frame, built in place:
+/// `encode(buf, args...)` (an Encode* function of log_record.h) appends the
+/// payload behind a reserved header, which SealFrame then fills in. A
+/// buffer of such frames is what SystemLog::AppendFrames stages.
+template <typename Encode, typename... Args>
+void AppendFrame(std::string* buf, Encode&& encode, Args&&... args) {
+  const size_t start = buf->size();
+  buf->append(kFrameHeaderBytes, '\0');
+  encode(buf, std::forward<Args>(args)...);
+  SealFrame(buf, start);
+}
+
 /// The system log (paper §2.1): in-memory append staging plus a stable log
 /// file on disk. Redo records are appended when operations commit; the
 /// staged frames are made durable at transaction commit and at checkpoints.
@@ -77,7 +97,9 @@ constexpr size_t kLogReadWindowBytes = 1 << 20;
 ///
 /// Framing on disk and in staging: [u32 payload_len][u32 crc32c][payload].
 /// The LSN of a record is the byte offset of its frame; a torn final frame
-/// after a crash is detected by the CRC and treated as the end of log.
+/// after a crash is detected by the CRC and treated as the end of log. A
+/// frame is built once, where its record is encoded (AppendFrame), and its
+/// bytes travel unchanged as part of a run from there to the file.
 class SystemLog {
  public:
   /// Opens (creating if needed) the stable log at `path`. Scans existing
@@ -108,15 +130,14 @@ class SystemLog {
   /// Returns the record's LSN. Thread-safe.
   Lsn Append(Slice payload);
 
-  /// Appends several payloads as one staging operation: one LSN reservation
-  /// and one shard-mutex acquisition for the lot, and the frames occupy
-  /// contiguous LSNs. Returns the LSN of the first payload (CurrentLsn()
-  /// when `payloads` is empty). Used by operation commit, which moves the
-  /// whole local redo buffer at once. When `trace` is a sampled span
-  /// context, a WalTraceTag rides the staged frames through the
+  /// Appends a run of complete frames (built by AppendFrame) as one
+  /// staging operation: one LSN reservation and one copy for the lot, and
+  /// the frames occupy contiguous LSNs. Returns the LSN of the first frame
+  /// (CurrentLsn() when `frames` is empty). Used by operation commit, which
+  /// moves the whole local redo buffer at once. When `trace` is a sampled
+  /// span context, a WalTraceTag rides the staged frames through the
   /// group-commit queue so the drainer-side spans attach to the trace.
-  Lsn AppendAll(const std::vector<std::string>& payloads,
-                const SpanContext* trace = nullptr);
+  Lsn AppendFrames(Slice frames, const SpanContext* trace = nullptr);
 
   /// Makes every record appended before this call durable. Group commit:
   /// the drainer thread writes the whole pending prefix and fsyncs once
@@ -164,20 +185,33 @@ class SystemLog {
   uint64_t flush_failures() const { return ins_.flush_failures->Value(); }
 
  private:
-  /// One publication unit: frames staged by one shard, in LSN order, plus
-  /// the trace tags of any sampled commits among them.
+  /// A contiguous LSN range of staged frames: one append call's frames,
+  /// or several calls' that happened to get adjacent LSNs.
+  struct Run {
+    Lsn lsn;
+    size_t len;
+  };
+
+  /// Frames laid out back to back, run after run, in LSN order.
+  struct Staged {
+    std::string bytes;
+    std::vector<Run> runs;
+  };
+
+  /// One publication unit: a shard's staged frames plus the trace tags of
+  /// any sampled commits among them.
   struct Batch {
-    std::vector<std::pair<Lsn, std::string>> frames;
+    Staged staged;
     std::vector<WalTraceTag> tags;
   };
 
   /// Per-shard append staging. Appenders on different shards share nothing
-  /// but the LSN counter (one fetch_add) and the lock-free queue.
+  /// but the LSN counter (one fetch_add) and the lock-free queue. The
+  /// staging buffer keeps its capacity across publishes.
   struct alignas(64) AppendShard {
     std::mutex mu;
-    std::vector<std::pair<Lsn, std::string>> frames;
+    Staged staged;
     std::vector<WalTraceTag> tags;
-    size_t bytes = 0;
     size_t index = 0;  ///< Position in shards_, for black-box attribution.
     Counter* appends = nullptr;
   };
@@ -189,10 +223,12 @@ class SystemLog {
   /// use, sticky thereafter).
   size_t ShardIndex() const;
 
-  /// Stages one frame into `sh` (sh.mu held) and returns its LSN.
-  Lsn StageFrameLocked(AppendShard& sh, Slice payload);
+  /// Accounts for the `len` bytes of `frames` frames just appended to
+  /// sh.staged.bytes at `lsn`, then publishes past the threshold (sh.mu
+  /// held).
+  void NoteStagedLocked(AppendShard& sh, Lsn lsn, size_t len, size_t frames);
 
-  /// Moves sh's staged frames into the MPMC queue (sh.mu held).
+  /// Copies sh's staged frames into a batch on the MPMC queue (sh.mu held).
   void PublishLocked(AppendShard& sh);
 
   /// Drainer thread: merges queued batches, writes the contiguous prefix,
@@ -237,7 +273,8 @@ class SystemLog {
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;  ///< Wakes the drainer.
   std::condition_variable flush_cv_;  ///< Wakes Flush waiters.
-  std::map<Lsn, std::string> pending_;  ///< Reorder buffer, keyed by LSN.
+  /// Reorder buffer: one entry per popped run, keyed by its first LSN.
+  std::map<Lsn, std::string> pending_;
   /// Tags popped from the queue, waiting for the durable frontier to pass
   /// their end_lsn (at which point the drainer emits their write/fsync
   /// spans and retires them). Guarded by drain_mu_.
@@ -254,6 +291,7 @@ class SystemLog {
   uint64_t failed_req_ = 0;   ///< Retry only once a newer request arrives.
   Status last_error_;
   bool in_round_ = false;     ///< Drainer I/O in flight (latch released).
+  bool drain_backlog_ = false;  ///< A publisher found the queue full.
   bool stop_ = false;
   std::thread drainer_;
 };

@@ -7,6 +7,7 @@
 // failures. These are the tests the CI TSan job runs to vet the
 // memory-ordering arguments in DESIGN.md §10.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -343,6 +344,92 @@ TEST(ShardedWal, ConcurrentAppendFlushLosesNothing) {
     ++n;
   }
   EXPECT_EQ(n, static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(ShardedWal, InterleavedFrameRunsAndSingleAppendsStayContiguous) {
+  // Threads interleave multi-frame runs (the operation-commit path) with
+  // single Appends across four staging shards, flushing as they go. The
+  // reader must return every record exactly once, at strictly increasing
+  // LSNs, with each run's frames back to back from the LSN it was given.
+  TempDir dir;
+  const std::string path = dir.path() + "/log";
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 300;
+  // first_lsn[t][r] / run_len[t][r]: where record r of thread t went and
+  // how many records its call staged (0 for the later frames of a run).
+  std::vector<std::vector<Lsn>> first_lsn(kThreads,
+                                          std::vector<Lsn>(kPerThread));
+  std::vector<std::vector<int>> run_len(kThreads,
+                                        std::vector<int>(kPerThread, 0));
+  {
+    auto log = SystemLog::Open(path, nullptr, 4);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        Random rng(i + 1);
+        int r = 0;
+        while (r < kPerThread) {
+          // (txn, off) = (thread, seq) identifies the record on replay.
+          const int n = std::min<int>(
+              kPerThread - r, rng.OneIn(3) ? 1 : 2 + rng.Uniform(6));
+          if (n == 1 && rng.OneIn(2)) {
+            std::string payload;
+            EncodeReadLog(&payload, static_cast<TxnId>(i + 1),
+                          static_cast<DbPtr>(r), 8, nullptr);
+            first_lsn[i][r] = (*log)->Append(payload);
+          } else {
+            std::string run;
+            for (int k = 0; k < n; ++k) {
+              AppendFrame(&run, EncodeReadLog, static_cast<TxnId>(i + 1),
+                          static_cast<DbPtr>(r + k), uint32_t{8}, nullptr);
+            }
+            first_lsn[i][r] = (*log)->AppendFrames(run);
+          }
+          run_len[i][r] = n;
+          r += n;
+          if (rng.OneIn(8)) ASSERT_OK((*log)->Flush());
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_OK((*log)->Flush());
+    EXPECT_EQ((*log)->CurrentLsn(), (*log)->end_of_stable_log());
+  }
+  auto reader = LogReader::Open(path, 0, kInvalidLsn);
+  ASSERT_TRUE(reader.ok());
+  std::vector<std::pair<Lsn, std::pair<int, int>>> seen;  // lsn, (t, r)
+  LogRecord rec;
+  Lsn lsn;
+  while ((*reader)->Next(&rec, &lsn)) {
+    ASSERT_EQ(rec.type, LogRecordType::kReadLog);
+    if (!seen.empty()) {
+      EXPECT_GT(lsn, seen.back().first);
+    }
+    seen.push_back({lsn, {static_cast<int>(rec.txn) - 1,
+                          static_cast<int>(rec.off)}});
+  }
+  ASSERT_OK((*reader)->status());
+  ASSERT_EQ(seen.size(), static_cast<size_t>(kThreads) * kPerThread);
+  std::vector<std::vector<size_t>> at(
+      kThreads, std::vector<size_t>(kPerThread, SIZE_MAX));
+  for (size_t pos = 0; pos < seen.size(); ++pos) {
+    auto [t, r] = seen[pos].second;
+    ASSERT_TRUE(t >= 0 && t < kThreads && r >= 0 && r < kPerThread);
+    EXPECT_EQ(at[t][r], SIZE_MAX) << "duplicate record t" << t << " r" << r;
+    at[t][r] = pos;
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kPerThread; ++r) {
+      const int n = run_len[t][r];
+      if (n == 0) continue;
+      const size_t pos = at[t][r];
+      EXPECT_EQ(seen[pos].first, first_lsn[t][r]);
+      for (int k = 1; k < n; ++k) {
+        EXPECT_EQ(at[t][r + k], pos + k) << "run of t" << t << " split";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,12 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <map>
 #include <thread>
+#include <vector>
 
+#include "ckpt/checkpoint.h"
+#include "common/random.h"
 #include "core/database.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "txn/lock_manager.h"
+#include "wal/system_log.h"
 
 namespace cwdb {
 namespace {
@@ -101,6 +110,227 @@ TEST(LockManager, SharedUpgradeDeadlock) {
   lm.ReleaseAll(1);
 }
 
+TEST(LockManager, RollbackBreaksCycleThroughSleepingInserter) {
+  // The TPC-B shape that used to livelock: an inserter holds the History
+  // table lock for its operation and sleeps on the record lock of a slot
+  // that a rolling-back transaction freed in the bitmap but still holds;
+  // the rollback's next insert-undo needs the table lock. The rollback may
+  // not be the victim, so the sleeping inserter must be woken with
+  // kDeadlock and give the table lock back. One and eight segments put the
+  // two locks in the same and (likely) different segments.
+  for (size_t shards : {1u, 8u}) {
+    SCOPED_TRACE(shards);
+    MetricsRegistry reg;
+    LockManager lm(shards);
+    lm.BindMetrics(&reg);
+    constexpr TxnId kRollback = 1;
+    constexpr TxnId kInserter = 2;
+    const LockId table = LockId::Table(3);
+    const LockId slot = LockId::Record(3, 7);
+    ASSERT_OK(lm.Acquire(kRollback, slot, LockMode::kExclusive));
+    ASSERT_OK(lm.Acquire(kInserter, table, LockMode::kExclusive));
+
+    Status inserter_status;
+    std::thread inserter([&] {
+      inserter_status = lm.Acquire(kInserter, slot, LockMode::kExclusive);
+      // As table_ops::Insert does when the slot lock fails.
+      lm.Release(kInserter, table);
+    });
+    // Deterministic: the wait counter ticks only after the inserter has
+    // entered the waits-for graph.
+    Counter* waits = reg.counter("txn.lock_waits");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (waits->Value() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(waits->Value(), 1u);
+
+    // Bounded: the rollback's acquire must return, whatever it returns.
+    auto rollback = std::async(std::launch::async, [&] {
+      return lm.Acquire(kRollback, table, LockMode::kExclusive,
+                        /*in_rollback=*/true);
+    });
+    const bool returned = rollback.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    const Status rollback_status =
+        returned ? rollback.get() : Status::Internal("rollback still waits");
+    // On failure, free the slot so the inserter, and then the rollback,
+    // can finish and the test ends.
+    if (!rollback_status.ok()) lm.ReleaseAll(kRollback);
+    inserter.join();
+    if (!returned) rollback.get();
+    EXPECT_OK(rollback_status);
+    EXPECT_TRUE(inserter_status.IsDeadlock()) << inserter_status.ToString();
+    EXPECT_EQ(reg.counter("txn.deadlocks")->Value(), 1u);
+    EXPECT_TRUE(lm.Holds(kRollback, table, LockMode::kExclusive));
+    EXPECT_FALSE(lm.Holds(kInserter, slot, LockMode::kShared));
+    lm.ReleaseAll(kRollback);
+    lm.ReleaseAll(kInserter);
+    EXPECT_EQ(lm.LockedCount(), 0u);
+  }
+}
+
+TEST(LockManager, CycleOfRollbacksStillRefusesRequester) {
+  // With no cycle member able to abort, the requester gets kDeadlock (its
+  // caller retries) rather than waiting forever.
+  MetricsRegistry reg;
+  LockManager lm;
+  lm.BindMetrics(&reg);
+  ASSERT_OK(lm.Acquire(1, LockId::Record(0, 1), LockMode::kExclusive));
+  ASSERT_OK(lm.Acquire(2, LockId::Record(0, 2), LockMode::kExclusive));
+  std::thread t2([&] {
+    EXPECT_OK(lm.Acquire(2, LockId::Record(0, 1), LockMode::kExclusive,
+                         /*in_rollback=*/true));
+  });
+  Counter* waits = reg.counter("txn.lock_waits");
+  while (waits->Value() == 0) std::this_thread::yield();  // t2 is waiting.
+  Status s = lm.Acquire(1, LockId::Record(0, 2), LockMode::kExclusive,
+                        /*in_rollback=*/true);
+  EXPECT_TRUE(s.IsDeadlock()) << s.ToString();
+  lm.ReleaseAll(1);
+  t2.join();
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+}
+
+/// A plain reference model of the lock table for single-threaded sequences:
+/// holders per lock id and each transaction's acquisition order.
+struct LockModel {
+  std::map<LockId, std::map<TxnId, LockMode>> holders;
+  std::map<TxnId, std::vector<LockId>> order;
+
+  bool Holds(TxnId t, LockId id, LockMode mode) const {
+    auto it = holders.find(id);
+    if (it == holders.end()) return false;
+    auto h = it->second.find(t);
+    return h != it->second.end() &&
+           (mode == LockMode::kShared || h->second == LockMode::kExclusive);
+  }
+  /// False when the request would block on another holder.
+  bool Grantable(TxnId t, LockId id, LockMode mode) const {
+    auto it = holders.find(id);
+    if (it == holders.end()) return true;
+    for (const auto& [holder, held] : it->second) {
+      if (holder == t) continue;
+      if (mode == LockMode::kExclusive || held == LockMode::kExclusive) {
+        return false;
+      }
+    }
+    return true;
+  }
+  void Grant(TxnId t, LockId id, LockMode mode) {
+    if (Holds(t, id, mode)) return;
+    auto [it, fresh] = holders[id].emplace(t, mode);
+    if (fresh) {
+      order[t].push_back(id);
+    } else {
+      it->second = mode;
+    }
+  }
+  void Release(TxnId t, LockId id) {
+    auto it = holders.find(id);
+    if (it == holders.end() || it->second.erase(t) == 0) return;
+    if (it->second.empty()) holders.erase(it);
+    std::vector<LockId>& ids = order[t];
+    ids.erase(std::find(ids.begin(), ids.end(), id));
+  }
+  void ReleaseAll(TxnId t) {
+    for (LockId id : std::vector<LockId>(order[t])) Release(t, id);
+    order.erase(t);
+  }
+};
+
+TEST(LockManager, MatchesReferenceModelOnRandomSequences) {
+  // Seeded random single-threaded sequences against the model; requests
+  // the model says would block are skipped. A small id space keeps
+  // upgrades, re-entrant acquires, releases from the middle of a held list
+  // and reuse of retired entries frequent; each is counted and required.
+  std::vector<LockId> ids = {LockId::Directory()};
+  for (TableId t = 0; t < 3; ++t) {
+    ids.push_back(LockId::Table(t));
+    for (uint32_t s = 0; s < 8; ++s) ids.push_back(LockId::Record(t, s));
+  }
+  constexpr TxnId kTxns = 5;
+  int upgrades = 0, reentrant = 0, middle_releases = 0, reuses = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    for (size_t shards : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " shards "
+                                      << shards);
+      LockManager lm(shards);
+      LockModel model;
+      Random rng(seed * 1000 + shards);
+      bool retired = false;  // Some entry has been retired since a Clear.
+      for (int step = 0; step < 3000; ++step) {
+        const TxnId t = 1 + rng.Uniform(kTxns);
+        const LockId id = ids[rng.Uniform(ids.size())];
+        const LockMode mode =
+            rng.OneIn(2) ? LockMode::kShared : LockMode::kExclusive;
+        const size_t locked_before = model.holders.size();
+        switch (rng.Uniform(20)) {
+          case 0:
+            lm.ReleaseAll(t);
+            model.ReleaseAll(t);
+            break;
+          case 1:
+          case 2:
+          case 3: {
+            // Prefer a lock `t` holds, so most releases hit something.
+            std::vector<LockId>& held = model.order[t];
+            LockId victim = id;
+            if (!held.empty()) victim = held[rng.Uniform(held.size())];
+            if (held.size() > 1 && !(victim == held.back())) {
+              ++middle_releases;
+            }
+            lm.Release(t, victim);
+            model.Release(t, victim);
+            break;
+          }
+          case 4:
+            if (rng.OneIn(50)) {
+              lm.Clear();
+              model = LockModel();
+              retired = false;
+            }
+            break;
+          default: {
+            if (!model.Grantable(t, id, mode)) break;  // Would block.
+            if (model.Holds(t, id, LockMode::kShared)) {
+              if (model.Holds(t, id, mode)) {
+                ++reentrant;
+              } else {
+                ++upgrades;
+              }
+            } else if (retired && model.holders.count(id) == 0) {
+              ++reuses;
+            }
+            ASSERT_OK(lm.Acquire(t, id, mode));
+            model.Grant(t, id, mode);
+            break;
+          }
+        }
+        if (model.holders.size() < locked_before) retired = true;
+        ASSERT_EQ(lm.LockedCount(), model.holders.size()) << "step " << step;
+        for (TxnId u = 1; u <= kTxns; ++u) {
+          for (LockId x : ids) {
+            for (LockMode m : {LockMode::kShared, LockMode::kExclusive}) {
+              ASSERT_EQ(lm.Holds(u, x, m), model.Holds(u, x, m))
+                  << "step " << step << " txn " << u << " id " << x.table
+                  << "/" << x.slot;
+            }
+          }
+        }
+      }
+      for (TxnId u = 1; u <= kTxns; ++u) lm.ReleaseAll(u);
+      EXPECT_EQ(lm.LockedCount(), 0u);
+    }
+  }
+  EXPECT_GT(upgrades, 0);
+  EXPECT_GT(reentrant, 0);
+  EXPECT_GT(middle_releases, 0);
+  EXPECT_GT(reuses, 0);
+}
+
 // ---------- Transaction-level behaviour over a Database ----------
 
 class TxnTest : public ::testing::Test {
@@ -158,9 +388,12 @@ TEST_F(TxnTest, RollbackOfInFlightUpdate) {
   ASSERT_OK(db_->Commit(*txn));
 
   txn = db_->Begin();
+  const TxnId aborted = (*txn)->id();
   DbPtr off = db_->image()->RecordOff(table_, rid->slot);
   ASSERT_OK(db_->txns()->BeginOp(*txn, OpCode::kUpdate, kMaxTables,
-                                 kInvalidSlot, std::nullopt, off, 8));
+                                 kInvalidSlot, std::nullopt, off, 16));
+  // One finished update (its redo frame is built) before the one in flight.
+  ASSERT_OK((*txn)->Update(off + 8, "complete", 8));
   auto p = (*txn)->BeginUpdate(off, 8);
   ASSERT_TRUE(p.ok());
   std::memcpy(*p, "halfdone", 8);
@@ -172,6 +405,21 @@ TEST_F(TxnTest, RollbackOfInFlightUpdate) {
   ASSERT_OK(db_->Read(*txn, table_, rid->slot, &got));
   EXPECT_EQ(got, std::string(64, 'f'));
   ASSERT_OK(db_->Commit(*txn));
+
+  // The open operation's frames never left the local buffer: the log holds
+  // only the aborted transaction's begin and abort records.
+  auto reader = LogReader::Open(DbFiles(dir_.path()).SystemLog(), 0,
+                                kInvalidLsn);
+  ASSERT_OK(reader.status());
+  std::vector<LogRecordType> types;
+  LogRecord rec;
+  Lsn lsn;
+  while ((*reader)->Next(&rec, &lsn)) {
+    if (rec.txn == aborted) types.push_back(rec.type);
+  }
+  ASSERT_OK((*reader)->status());
+  EXPECT_EQ(types, (std::vector<LogRecordType>{LogRecordType::kBeginTxn,
+                                               LogRecordType::kAbortTxn}));
 }
 
 TEST_F(TxnTest, UndoLogCompaction) {
