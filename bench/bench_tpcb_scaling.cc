@@ -144,7 +144,7 @@ Point RunPoint(const std::string& dir, int threads, size_t shards,
     if (trace_out->history) {
       // One last sample so the final transaction totals are in the ring,
       // then persist and grab the artifacts before the directory goes.
-      (*db)->history()->SampleNow();
+      (*db)->Tick();
       auto json = (*db)->DumpMetrics();
       if (!json.ok()) {
         std::fprintf(stderr, "metrics dump failed: %s\n",

@@ -1,5 +1,7 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
@@ -261,6 +263,17 @@ void JsonAppendEscaped(std::string* out, std::string_view s) {
           out->push_back(c);
         }
     }
+  }
+}
+
+void Appendf(std::string* out, const char* fmt, ...) {
+  char buf[512];
+  va_list ap;
+  va_start(ap, fmt);
+  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  if (n > 0) {
+    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
   }
 }
 

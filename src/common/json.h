@@ -71,6 +71,11 @@ void JsonAppendEscaped(std::string* out, std::string_view s);
 /// `"s"` with escaping.
 std::string JsonQuote(std::string_view s);
 
+/// Appends printf-formatted text — the renderers' building block. One
+/// call renders at most 511 bytes; anything past that is cut off.
+void Appendf(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 }  // namespace cwdb
 
 #endif  // CWDB_COMMON_JSON_H_

@@ -50,10 +50,9 @@ Result<std::unique_ptr<Database>> Database::Open(
 Database::~Database() {
   StopBackgroundWork();
   if (flight_recorder_ != nullptr) {
-    // Detach the process-wide hooks before any member dies; the recorder
+    // Detach the process-wide hook before any member dies; the recorder
     // itself (and its fatal handler) is torn down by member destruction,
-    // after the components that mirror into it.
-    metrics_.trace().set_sink(nullptr);
+    // after the components and the registry that write into it.
     crashpoint::SetArmObserver(nullptr);
     // An orderly destructor is not a crash, even without Close(): the
     // "unclean" signal means the process died with this incarnation still
@@ -64,46 +63,70 @@ Database::~Database() {
 }
 
 void Database::StopBackgroundWork() {
-  // The history sampler first: its tick hooks call into the SLO engine and
-  // scrub map, so no hook may run once teardown proceeds past here.
-  if (history_ != nullptr) history_->Stop();
+  // The ticker first: it calls into the SLO engine, scrub map and box, so
+  // nothing may tick once teardown proceeds past here.
+  {
+    std::lock_guard<std::mutex> guard(ticker_mu_);
+    stop_ticker_ = true;
+  }
+  ticker_cv_.notify_all();
+  if (ticker_.joinable()) ticker_.join();
   if (watchdog_ != nullptr) watchdog_->Stop();
   if (stats_server_ != nullptr) stats_server_->Stop();
-  {
-    std::lock_guard<std::mutex> guard(flusher_mu_);
-    stop_flusher_ = true;
-  }
-  flusher_cv_.notify_all();
-  if (metrics_flusher_.joinable()) metrics_flusher_.join();
 }
 
-void Database::MetricsFlusherLoop() {
-  const auto interval =
+void Database::TickerLoop() {
+  using Clock = std::chrono::steady_clock;
+  const auto tick = std::chrono::milliseconds(options_.history.interval_ms);
+  const auto flush =
       std::chrono::milliseconds(options_.metrics.flush_interval_ms);
-  std::unique_lock<std::mutex> lock(flusher_mu_);
-  while (!flusher_cv_.wait_for(lock, interval,
-                               [this] { return stop_flusher_; })) {
+  // Sample at once, flush one interval in; a zero cadence never comes due.
+  Clock::time_point next_tick =
+      tick.count() > 0 ? Clock::now() : Clock::time_point::max();
+  Clock::time_point next_flush =
+      flush.count() > 0 ? Clock::now() + flush : Clock::time_point::max();
+  std::unique_lock<std::mutex> lock(ticker_mu_);
+  while (!ticker_cv_.wait_until(lock, std::min(next_tick, next_flush),
+                                [this] { return stop_ticker_; })) {
     lock.unlock();
-    // Identical to DumpMetrics(), but a failure (full disk) only counts —
-    // a background flusher must never take the database down.
-    MetricsSnapshot snap = metrics_.Capture();
-    bool failed = !WriteFileAtomic(files_.MetricsFile(), snap.ToJson()).ok();
-    // The history ring and SLO report ride the same cadence so `cwdb_ctl
-    // top` on a live directory is at most one flush interval stale.
-    if (history_->size() > 0 &&
-        !history_->SaveTo(files_.MetricsHistoryFile()).ok()) {
-      failed = true;
+    if (Clock::now() >= next_tick) {
+      Tick();
+      next_tick = Clock::now() + tick;
     }
-    if (slo_ != nullptr &&
-        !WriteFileAtomic(files_.SloReportFile(), slo_->ReportJson()).ok()) {
-      failed = true;
-    }
-    if (failed) {
-      metrics_.counter("obs.metrics_flush_failures")->Add();
-    } else {
-      metrics_.counter("obs.metrics_flushes")->Add();
+    if (Clock::now() >= next_flush) {
+      // A failed flush (full disk) only counts: the ticker must never take
+      // the database down.
+      metrics_
+          .counter(DumpMetrics().ok() ? "obs.metrics_flushes"
+                                      : "obs.metrics_flush_failures")
+          ->Add();
+      next_flush = Clock::now() + flush;
     }
     lock.lock();
+  }
+}
+
+void Database::Tick() {
+  history_->SampleNow();
+  const uint64_t now = history_->LatestMono();
+  scrub_->UpdateGauges(now);
+  // Process-level gauges ride the sampling cadence so /metrics and the
+  // history ring always carry fresh uptime/RSS/fd/disk numbers.
+  PublishProcessStats(
+      &metrics_, SampleProcessStats(files_.dir(), metrics_.boot_mono_ns()));
+  if (slo_ != nullptr) slo_->EvaluateOnce(now);
+  if (flight_recorder_ != nullptr) {
+    // Last, so the box sees the refreshes above. Each is a seqlock'd
+    // in-place write into the mapping.
+    flight_recorder_->WriteMetricsSample(metrics_.Capture());
+    if (watchdog_ != nullptr) {
+      flight_recorder_->NoteStatusText(blackbox::StatusSlot::kWatchdog,
+                                       watchdog_->DegradedReason());
+    }
+    if (slo_ != nullptr) {
+      flight_recorder_->NoteStatusText(blackbox::StatusSlot::kSlo,
+                                       slo_->BurnReason());
+    }
   }
 }
 
@@ -131,16 +154,12 @@ Status Database::OpenImpl() {
   shard_map_ = ShardMap(options_.arena_size, requested, shard_align);
   options_.protection.shards = shard_map_.shard_count();
   options_.protection.shard_align = shard_align;
-  CWDB_ASSIGN_OR_RETURN(
-      protection_,
-      ProtectionManager::Create(options_.protection, image_.get(), &metrics_));
-
   // Flight recorder: stash the prior incarnation's black box first (a box
   // without the clean-shutdown mark is a crash episode — rotate it aside
   // for `cwdb_ctl postmortem` and remember it so a kCrash dossier can be
-  // filed once forensics is up), then map a fresh box and start mirroring
-  // before the first component that feeds it exists. Creation failure is
-  // not fatal: the database runs fine without a box.
+  // filed once forensics is up), then map a fresh box and move the event
+  // ring into it before the first component that records exists.
+  // Creation failure is not fatal: the database runs fine without a box.
   if (options_.flight_recorder.enabled) {
     Result<BlackBoxReport> prior = ReadBlackBox(files_.BlackBox());
     if (prior.ok() && !prior->clean_shutdown) {
@@ -162,7 +181,7 @@ Status Database::OpenImpl() {
     if (fr.ok()) {
       flight_recorder_ = std::move(fr.value());
       flight_recorder_->SetArena(image_->base(), image_->size(), &shard_map_);
-      metrics_.trace().set_sink(flight_recorder_.get());
+      metrics_.trace().MoveTo(flight_recorder_->trace_section());
       // Armed crash points mirror into the box as they change (the
       // observer is process-wide, like the crashpoint registry; the last
       // database to open owns it, and ~Database clears it).
@@ -178,6 +197,10 @@ Status Database::OpenImpl() {
       metrics_.counter("obs.blackbox_create_failures")->Add();
     }
   }
+
+  CWDB_ASSIGN_OR_RETURN(
+      protection_,
+      ProtectionManager::Create(options_.protection, image_.get(), &metrics_));
 
   CWDB_ASSIGN_OR_RETURN(log_, SystemLog::Open(files_.SystemLog(), &metrics_,
                                               shard_map_.shard_count(),
@@ -333,46 +356,18 @@ Status Database::OpenImpl() {
   }
 
   // Metrics history: reload the previous incarnation's ring (tolerant of
-  // torn/truncated files — a bad tail just shortens the history), then
-  // refresh the scrub gauges and evaluate SLOs on every sample tick.
+  // torn/truncated files — a bad tail just shortens the history).
   history_ = std::make_unique<MetricsHistory>(&metrics_, options_.history);
   CWDB_RETURN_IF_ERROR(history_->LoadFrom(files_.MetricsHistoryFile()));
-  history_->AddTickHook([this](uint64_t now_mono) {
-    scrub_->UpdateGauges(now_mono);
-    // Process-level gauges ride the sampling cadence so /metrics and the
-    // history ring always carry fresh uptime/RSS/fd/disk numbers.
-    PublishProcessStats(&metrics_,
-                        SampleProcessStats(files_.dir(),
-                                           metrics_.boot_mono_ns()));
-  });
   if (options_.slo.enabled) {
     slo_ = std::make_unique<SloEngine>(&metrics_, history_.get(),
                                        scrub_.get(), forensics_.get(),
                                        BuildDefaultSlos(options_.slo));
     slo_->set_lsn_fn([this] { return log_->end_of_stable_log(); });
-    history_->AddTickHook(
-        [this](uint64_t now_mono) { slo_->EvaluateOnce(now_mono); });
   }
-  if (flight_recorder_ != nullptr) {
-    // The black box's metrics sample and watchdog/SLO status text refresh
-    // on the same tick (after the scrub/SLO hooks above so it sees their
-    // updates). Each is a seqlock'd in-place write into the mapping.
-    history_->AddTickHook([this](uint64_t) {
-      flight_recorder_->WriteMetricsSample(metrics_.Capture());
-      if (watchdog_ != nullptr) {
-        flight_recorder_->NoteStatusText(blackbox::StatusSlot::kWatchdog,
-                                         watchdog_->DegradedReason());
-      }
-      if (slo_ != nullptr) {
-        flight_recorder_->NoteStatusText(blackbox::StatusSlot::kSlo,
-                                         slo_->BurnReason());
-      }
-    });
-  }
-  history_->Start();
-
-  if (options_.metrics.flush_interval_ms > 0) {
-    metrics_flusher_ = std::thread([this] { MetricsFlusherLoop(); });
+  if (options_.history.interval_ms > 0 ||
+      options_.metrics.flush_interval_ms > 0) {
+    ticker_ = std::thread([this] { TickerLoop(); });
   }
   if (options_.serve_stats) {
     stats_server_ = std::make_unique<StatsServer>();
@@ -666,6 +661,7 @@ DatabaseStats Database::GetStats() const {
 }
 
 Result<std::string> Database::DumpMetrics() {
+  std::lock_guard<std::mutex> guard(flush_mu_);
   // Refresh the process gauges so an explicit dump (and `cwdb_ctl stats`
   // reading its output) carries current uptime/RSS/fd/disk numbers even
   // when no history sampler is running.

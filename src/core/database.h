@@ -35,10 +35,10 @@
 
 namespace cwdb {
 
-/// Background metrics persistence. With a nonzero interval a flusher
-/// thread re-captures the registry and rewrites <dir>/metrics.json on that
-/// cadence, so the snapshot (schema-versioned, wall-clock stamped) survives
-/// a process death between explicit DumpMetrics() calls.
+/// Background metrics persistence. With a nonzero interval the Database's
+/// ticker thread rewrites every file DumpMetrics() writes on that cadence,
+/// so the snapshot (schema-versioned, wall-clock stamped) survives a
+/// process death between explicit DumpMetrics() calls.
 struct MetricsOptions {
   uint64_t flush_interval_ms = 0;  ///< 0 = no background flushing.
 };
@@ -82,9 +82,9 @@ struct DatabaseOptions {
   MetricsOptions metrics;
 
   /// Metrics time-series history (src/obs/history.h): with a nonzero
-  /// interval a background sampler scrapes the registry into an in-process
-  /// ring, persisted to <dir>/metrics_history.bin on flush/Close and
-  /// reloaded on reopen — what `cwdb_ctl top` and GET /query serve.
+  /// interval the ticker thread samples the registry into an in-process
+  /// ring (Tick()), persisted to <dir>/metrics_history.bin on flush/Close
+  /// and reloaded on reopen — what `cwdb_ctl top` and GET /query serve.
   HistoryOptions history;
 
   /// Declarative SLO engine (src/obs/slo.h): when enabled, evaluates
@@ -119,8 +119,8 @@ struct DatabaseOptions {
   StatsServerOptions stats_server;
 
   /// Crash-surviving flight recorder (src/obs/flight_recorder.h): a
-  /// mmap-backed black box at <dir>/blackbox.bin mirroring the trace-ring
-  /// tail, LSN frontiers, armed crash points and watchdog/SLO state, plus
+  /// mmap-backed black box at <dir>/blackbox.bin holding the event-trace
+  /// ring, LSN frontiers, armed crash points and watchdog/SLO state, plus
   /// an optional fatal-signal handler that appends a crash record. At
   /// reopen after an unclean death the box is rotated aside, a kCrash
   /// dossier is filed, and `cwdb_ctl postmortem` renders the episode.
@@ -321,8 +321,8 @@ class Database {
   ///
   /// Ordering matters: the log flush drains the group-commit queue (every
   /// staged shard batch reaches the stable file), and the background
-  /// workers (stats server, metrics flusher) are stopped *before* the
-  /// final metrics dump — otherwise the flusher could overwrite the
+  /// workers (ticker, watchdog, stats server) are stopped *before* the
+  /// final metrics dump — otherwise a periodic flush could overwrite the
   /// shutdown snapshot with a stale capture, or the dump could miss flush
   /// counters still being bumped by in-flight background work.
   Status Close() {
@@ -346,7 +346,17 @@ class Database {
   /// Captures the full metrics snapshot (counters, gauges, histograms and
   /// the event trace), persists it as JSON to <dir>/metrics.json — which is
   /// what `cwdb_ctl stats <dir>` re-emits — and returns the same JSON.
+  /// Also writes spans.json (tracing on), metrics_history.bin and
+  /// slo_report.json. The ticker's periodic flush is this same call; one
+  /// mutex serializes them, since every file is staged in `<file>.tmp`.
   Result<std::string> DumpMetrics();
+
+  /// Takes one metrics-history sample, then refreshes what rides on it:
+  /// the scrub-age gauge, the process gauges, the SLO verdicts and the
+  /// black box's metrics sample and status texts. The ticker calls this
+  /// every history.interval_ms; tests and benchmarks call it directly for
+  /// a deterministic history.
+  void Tick();
 
   /// The database-wide metrics registry. Every component of this database
   /// (txn manager, system log, protection, checkpointer, auditor) reports
@@ -367,8 +377,8 @@ class Database {
   /// audits publish into it).
   ScrubMap* scrub() { return scrub_.get(); }
 
-  /// Metrics time-series history (always present; the sampler thread only
-  /// runs when options.history.interval_ms > 0).
+  /// Metrics time-series history (always present; the ticker samples it
+  /// only when options.history.interval_ms > 0).
   MetricsHistory* history() { return history_.get(); }
 
   /// SLO engine, or nullptr when options.slo.enabled is false.
@@ -421,20 +431,24 @@ class Database {
   Status NoteCorruption(const std::vector<CorruptRange>& ranges,
                         IncidentSource source = IncidentSource::kAudit);
   Lsn LastCleanAuditLsn() const;
-  /// Joins the metrics flusher and stops the stats server (idempotent).
+  /// Joins the ticker and stops the watchdog and stats server
+  /// (idempotent).
   void StopBackgroundWork();
-  void MetricsFlusherLoop();
+  /// The ticker thread: Tick() every history.interval_ms, DumpMetrics()
+  /// every metrics.flush_interval_ms (whichever are nonzero).
+  void TickerLoop();
 
   DatabaseOptions options_;
   DbFiles files_;
   ShardMap shard_map_;
+  /// Declared before metrics_ so it outlives the registry, whose event
+  /// ring lives in this box's mapping while the recorder is on — and so
+  /// every component that writes into it (the system log holds a bare
+  /// pointer) dies first. ~Database clears the crashpoint observer.
+  std::unique_ptr<FlightRecorder> flight_recorder_;
   /// Declared before the components so it is destroyed after them — every
   /// component holds bare Counter*/Histogram* pointers into it.
   MetricsRegistry metrics_;
-  /// Right after metrics_, so it outlives every component that mirrors
-  /// into it (the system log holds a bare pointer; the trace sink and the
-  /// crashpoint observer are cleared in ~Database before teardown).
-  std::unique_ptr<FlightRecorder> flight_recorder_;
   std::optional<BlackBoxReport> prior_blackbox_;
   uint64_t crash_incident_id_ = 0;
   std::unique_ptr<DbImage> image_;
@@ -450,19 +464,21 @@ class Database {
   /// checkpointer_/txns_.
   std::unique_ptr<Watchdog> watchdog_;
   /// Coverage map, history ring and SLO engine, in dependency order: the
-  /// SLO engine reads the history and scrub map, and the history's tick
-  /// hooks call into both — all are stopped (StopBackgroundWork joins the
-  /// sampler) before any is destroyed.
+  /// SLO engine reads the history and scrub map, and Tick() calls into
+  /// all three — StopBackgroundWork joins the ticker before any is
+  /// destroyed.
   std::unique_ptr<ScrubMap> scrub_;
   std::unique_ptr<MetricsHistory> history_;
   std::unique_ptr<SloEngine> slo_;
   RecoveryReport last_report_;
 
   std::unique_ptr<StatsServer> stats_server_;
-  std::thread metrics_flusher_;
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  bool stop_flusher_ = false;
+  /// Serializes DumpMetrics: explicit calls and the ticker's flushes.
+  std::mutex flush_mu_;
+  std::mutex ticker_mu_;
+  std::condition_variable ticker_cv_;
+  bool stop_ticker_ = false;  ///< Guarded by ticker_mu_.
+  std::thread ticker_;
 };
 
 }  // namespace cwdb

@@ -18,22 +18,6 @@ namespace cwdb {
 
 using namespace blackbox;
 
-namespace blackbox {
-
-uint32_t TraceSlotCrc(const TraceEvent& e) {
-  char buf[44];
-  std::memcpy(buf + 0, &e.t_ns, 8);
-  std::memcpy(buf + 8, &e.lsn, 8);
-  std::memcpy(buf + 16, &e.a, 8);
-  std::memcpy(buf + 24, &e.b, 8);
-  std::memcpy(buf + 32, &e.shard, 8);
-  uint32_t type = static_cast<uint32_t>(e.type);
-  std::memcpy(buf + 40, &type, 4);
-  return Crc32c(buf, sizeof(buf));
-}
-
-}  // namespace blackbox
-
 namespace {
 
 /// Process-global fatal-signal registration. Leaked (like the crash-point
@@ -157,21 +141,6 @@ Result<std::unique_ptr<FlightRecorder>> FlightRecorder::Create(
 
   return std::unique_ptr<FlightRecorder>(
       new FlightRecorder(path, fd, base));
-}
-
-void FlightRecorder::OnTraceEvent(const TraceEvent& e) noexcept {
-  const uint64_t slot =
-      kTraceOff + (e.seq & (kTraceSlots - 1)) * kTraceSlotBytes;
-  Word64(slot + kTsTicket)->store(2 * e.seq + 1, std::memory_order_release);
-  Word64(slot + kTsTNs)->store(e.t_ns, std::memory_order_relaxed);
-  Word64(slot + kTsLsn)->store(e.lsn, std::memory_order_relaxed);
-  Word64(slot + kTsA)->store(e.a, std::memory_order_relaxed);
-  Word64(slot + kTsB)->store(e.b, std::memory_order_relaxed);
-  Word64(slot + kTsShard)->store(e.shard, std::memory_order_relaxed);
-  Word32(slot + kTsType)
-      ->store(static_cast<uint32_t>(e.type), std::memory_order_relaxed);
-  Word32(slot + kTsCrc)->store(TraceSlotCrc(e), std::memory_order_relaxed);
-  Word64(slot + kTsTicket)->store(2 * e.seq + 2, std::memory_order_release);
 }
 
 void FlightRecorder::NoteStagedLsn(size_t shard, uint64_t lsn_end) noexcept {

@@ -17,10 +17,10 @@
 namespace cwdb {
 
 /// Crash-surviving black box (DESIGN.md §13): a small mmap'd MAP_SHARED
-/// file (`blackbox.bin`) in the database directory that mirrors the
-/// volatile diagnostic state a crash would otherwise destroy — the tail of
-/// the event-trace ring, the latest metrics sample, per-shard WAL staging
-/// frontiers and the durable LSN, the armed crash points, and the
+/// file (`blackbox.bin`) in the database directory that holds the
+/// volatile diagnostic state a crash would otherwise destroy — the
+/// event-trace ring itself, the latest metrics sample, per-shard WAL
+/// staging frontiers and the durable LSN, the armed crash points, and the
 /// watchdog/SLO degradation strings. Because the mapping is shared, every
 /// store lands in the page cache immediately; a process death at any
 /// instant (SIGKILL, _exit at a crash point, a wild store taking the
@@ -65,7 +65,7 @@ inline constexpr uint64_t kStatusOff = 2048;     ///< 3 seqlock'd text slots.
 inline constexpr uint64_t kStatusSlotBytes = 512;
 inline constexpr uint64_t kStatusTextBytes = kStatusSlotBytes - 8;
 inline constexpr uint64_t kCrashOff = 4096;      ///< One crash record.
-inline constexpr uint64_t kTraceOff = 8192;      ///< Mirrored event ring.
+inline constexpr uint64_t kTraceOff = 8192;      ///< The event ring.
 inline constexpr uint64_t kTraceSlots = 256;     ///< Power of two.
 inline constexpr uint64_t kTraceSlotBytes = 64;
 inline constexpr uint64_t kSampleOff = 24576;    ///< Latest metrics sample.
@@ -111,19 +111,11 @@ inline constexpr uint64_t kCrFaultShard = 32;
 inline constexpr uint64_t kCrMonoNs = 40;
 inline constexpr uint64_t kCrWallNs = 48;
 
-/// Trace-slot field offsets (within one kTraceSlotBytes slot). The CRC
-/// covers the payload bytes [kTsTNs, kTsCrc) so a slot torn by page
-/// writeback after a machine crash is rejected, not misdecoded; ordinary
-/// process death can't tear it (the ticket protocol covers in-progress
-/// writes).
-inline constexpr uint64_t kTsTicket = 0;
-inline constexpr uint64_t kTsTNs = 8;
-inline constexpr uint64_t kTsLsn = 16;
-inline constexpr uint64_t kTsA = 24;
-inline constexpr uint64_t kTsB = 32;
-inline constexpr uint64_t kTsShard = 40;
-inline constexpr uint64_t kTsType = 48;
-inline constexpr uint64_t kTsCrc = 52;
+/// The trace section is the event ring itself: a SeqRing<TraceSlot>, one
+/// ticket word then the TraceSlot encoding per slot (obs/trace.h).
+static_assert(EventTrace::kSlots == kTraceSlots &&
+                  SeqRing<TraceSlot>::kSlotBytes == kTraceSlotBytes,
+              "the event ring must fill the trace section exactly");
 
 /// Status-slot indices.
 enum class StatusSlot : uint32_t {
@@ -140,10 +132,6 @@ inline constexpr uint32_t kCrashValid = 2;
 
 /// `fault_off` / `fault_shard` value meaning "not in the arena".
 inline constexpr uint64_t kNoFaultOff = UINT64_MAX;
-
-/// CRC over a trace slot's payload fields — shared by the mirror writer
-/// and the postmortem decoder so the framing can't drift.
-uint32_t TraceSlotCrc(const TraceEvent& e);
 
 }  // namespace blackbox
 
@@ -169,21 +157,24 @@ struct FlightRecorderOptions {
   bool install_fatal_handler = false;
 };
 
-class FlightRecorder : public TraceSink {
+class FlightRecorder {
  public:
   /// Creates (truncating) `path` and maps it. The caller is responsible
   /// for rotating any prior incarnation's box first (see Database::Open).
   static Result<std::unique_ptr<FlightRecorder>> Create(
       const std::string& path, const FlightRecorderInfo& info);
 
-  ~FlightRecorder() override;
+  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // -- Hot-path mirrors (lock-free, called from instrumented sites) --
+  /// The trace section, kTraceSlots zeroed slots: the home of the
+  /// database's event ring while this recorder lives (EventTrace::MoveTo).
+  uint64_t* trace_section() noexcept {
+    return reinterpret_cast<uint64_t*>(map_ + blackbox::kTraceOff);
+  }
 
-  /// TraceSink: mirrors one published event into the mmap'd ring.
-  void OnTraceEvent(const TraceEvent& e) noexcept override;
+  // -- Hot-path mirrors (lock-free, called from instrumented sites) --
 
   /// Last LSN staged by WAL append shard `shard` (one relaxed store).
   void NoteStagedLsn(size_t shard, uint64_t lsn_end) noexcept;

@@ -5,25 +5,12 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
-#include <ctime>
 
 #include "common/file_util.h"
 
 namespace cwdb {
 namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
-}
 
 /// Newlines in the file at `path` (0 when it is missing or unreadable),
 /// counted through a fixed buffer so a long incident history is never held
@@ -39,20 +26,6 @@ uint64_t CountLines(const std::string& path) {
   }
   ::close(fd);
   return lines;
-}
-
-/// "2026-08-06T12:34:56.789Z" from nanoseconds since the Unix epoch.
-std::string Iso8601Utc(uint64_t wall_ns) {
-  if (wall_ns == 0) return "unknown";
-  time_t secs = static_cast<time_t>(wall_ns / 1000000000ull);
-  unsigned millis = static_cast<unsigned>((wall_ns % 1000000000ull) / 1000000);
-  struct tm tm_utc;
-  gmtime_r(&secs, &tm_utc);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03uZ",
-                tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
-                tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec, millis);
-  return buf;
 }
 
 void AppendAttributionJson(std::string* out, const RangeAttribution& a) {
@@ -328,7 +301,7 @@ std::string RenderIncident(const JsonValue& incident) {
           "  last_clean_audit_lsn=%" PRIu64 "\n",
           incident.U64("id"), incident.Str("source").c_str(),
           incident.Str("scheme").c_str(),
-          Iso8601Utc(incident.U64("wall_ns")).c_str(), incident.U64("lsn"),
+          FormatWallNs(incident.U64("wall_ns")).c_str(), incident.U64("lsn"),
           incident.U64("last_clean_audit_lsn"));
   if (incident.U64("linked_incident_id") != 0) {
     Appendf(&out, "  linked to incident #%" PRIu64 "\n",
@@ -393,7 +366,7 @@ std::string RenderIncident(const JsonValue& incident) {
     Appendf(&out, "  recent events (%zu):\n", events->array().size());
     for (const JsonValue& e : events->array()) {
       Appendf(&out, "    seq=%-8" PRIu64 " %s %-20s %s lsn=%" PRIu64 "\n",
-              e.U64("seq"), Iso8601Utc(e.U64("wall_ns")).c_str(),
+              e.U64("seq"), FormatWallNs(e.U64("wall_ns")).c_str(),
               e.Str("type").c_str(), e.Str("desc").c_str(), e.U64("lsn"));
     }
   }

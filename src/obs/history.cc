@@ -168,39 +168,37 @@ std::string Sparkline(const std::vector<double>& vals) {
   return out;
 }
 
-/// "500ms" / "60s" / "5m" / plain seconds → nanoseconds; 0 on parse error.
+/// "500ms" / "60s" / "5m" / plain seconds → nanoseconds; 0 on a parse
+/// error or a window whose nanoseconds do not fit in 64 bits.
 uint64_t ParseWindow(std::string_view s) {
-  if (s.empty()) return 0;
   size_t i = 0;
   uint64_t n = 0;
   while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-    n = n * 10 + static_cast<uint64_t>(s[i] - '0');
+    if (__builtin_mul_overflow(n, 10, &n) ||
+        __builtin_add_overflow(n, static_cast<uint64_t>(s[i] - '0'), &n)) {
+      return 0;
+    }
     ++i;
   }
   if (i == 0) return 0;
   std::string_view unit = s.substr(i);
-  if (unit == "ms") return n * 1000000ull;
-  if (unit == "s" || unit.empty()) return n * 1000000000ull;
-  if (unit == "m") return n * 60ull * 1000000000ull;
-  if (unit == "h") return n * 3600ull * 1000000000ull;
-  return 0;
+  uint64_t ns_per_unit;
+  if (unit == "ms") {
+    ns_per_unit = 1000000ull;
+  } else if (unit == "s" || unit.empty()) {
+    ns_per_unit = 1000000000ull;
+  } else if (unit == "m") {
+    ns_per_unit = 60ull * 1000000000ull;
+  } else if (unit == "h") {
+    ns_per_unit = 3600ull * 1000000000ull;
+  } else {
+    return 0;
+  }
+  uint64_t ns;
+  return __builtin_mul_overflow(n, ns_per_unit, &ns) ? 0 : ns;
 }
 
 }  // namespace
-
-uint64_t MetricsHistory::WindowedHist::Quantile(double q) const {
-  if (count == 0) return 0;
-  uint64_t rank =
-      static_cast<uint64_t>(std::ceil(q * static_cast<double>(count)));
-  if (rank == 0) rank = 1;
-  if (rank > count) rank = count;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    seen += buckets[i];
-    if (seen >= rank) return Histogram::BucketUpperBound(i);
-  }
-  return Histogram::BucketUpperBound(Histogram::kBuckets - 1);
-}
 
 uint64_t MetricsHistory::WindowedHist::CountAbove(uint64_t threshold) const {
   size_t b = Histogram::BucketOf(threshold);
@@ -212,45 +210,6 @@ uint64_t MetricsHistory::WindowedHist::CountAbove(uint64_t threshold) const {
 MetricsHistory::MetricsHistory(MetricsRegistry* registry,
                                HistoryOptions options)
     : registry_(registry), options_(options) {}
-
-MetricsHistory::~MetricsHistory() { Stop(); }
-
-void MetricsHistory::Start() {
-  if (options_.interval_ms == 0 || registry_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  if (sampler_running_) return;
-  sampler_stop_ = false;
-  sampler_running_ = true;
-  sampler_ = std::thread([this] { SamplerLoop(); });
-}
-
-void MetricsHistory::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    if (!sampler_running_) return;
-    sampler_stop_ = true;
-  }
-  sampler_cv_.notify_all();
-  sampler_.join();
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  sampler_running_ = false;
-}
-
-void MetricsHistory::SamplerLoop() {
-  std::unique_lock<std::mutex> lock(sampler_mu_);
-  while (!sampler_stop_) {
-    lock.unlock();
-    SampleNow();
-    lock.lock();
-    sampler_cv_.wait_for(lock,
-                         std::chrono::milliseconds(options_.interval_ms),
-                         [this] { return sampler_stop_; });
-  }
-}
-
-void MetricsHistory::AddTickHook(TickHook hook) {
-  hooks_.push_back(std::move(hook));
-}
 
 void MetricsHistory::SampleNow() {
   if (registry_ == nullptr) return;
@@ -304,7 +263,6 @@ void MetricsHistory::SampleNow() {
     AppendSampleLocked(std::move(sample));
     samples_taken_++;
   }
-  for (const TickHook& hook : hooks_) hook(snap.captured_mono_ns);
 }
 
 void MetricsHistory::AppendSampleLocked(Sample sample) {

@@ -1,14 +1,11 @@
 #ifndef CWDB_OBS_HISTORY_H_
 #define CWDB_OBS_HISTORY_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -38,8 +35,8 @@ namespace cwdb {
 ///   scrub.shard<N>.last_audit_lsn      log position that pass certified
 ///   scrub.shard<N>.cursor_pct          current sweep cursor, percent
 ///   scrub.max_age_ms                   max staleness (refreshed by
-///                                      UpdateGauges — the history sampler
-///                                      calls it every tick)
+///                                      UpdateGauges — the Database's
+///                                      ticker calls it every tick)
 class ScrubMap {
  public:
   struct ShardState {
@@ -90,11 +87,11 @@ class ScrubMap {
   std::vector<ShardGauges> gauges_;
 };
 
-/// Metrics time-series history: a background sampler scrapes the registry
-/// every interval_ms into a fixed-size in-process ring of samples, giving
-/// every counter, gauge and histogram a queryable recent past — rates,
-/// windowed quantiles, sparklines — where the registry alone only answers
-/// "what is the total right now".
+/// Metrics time-series history: each SampleNow() scrapes the registry into
+/// a fixed-size in-process ring of samples, giving every counter, gauge and
+/// histogram a queryable recent past — rates, windowed quantiles,
+/// sparklines — where the registry alone only answers "what is the total
+/// right now".
 ///
 /// The ring is persisted (delta-encoded, CRC-framed records) to
 /// metrics_history.bin on Database::DumpMetrics()/Close() and reloaded on
@@ -102,8 +99,9 @@ class ScrubMap {
 /// process restarts. Torn or truncated files load to their last valid
 /// record; a corrupt header loads as empty. Neither fails the open.
 struct HistoryOptions {
-  /// Sampling cadence. 0 = no background sampler (SampleNow() still works,
-  /// which is what deterministic tests use).
+  /// Cadence of the Database's ticker (Database::Tick). 0 = no periodic
+  /// sampling; SampleNow() and Tick() still work, which is what
+  /// deterministic tests use.
   uint64_t interval_ms = 0;
   /// Samples retained in the ring (oldest evicted first). At the default
   /// 1 s cadence, 512 samples ≈ 8.5 minutes of history.
@@ -128,7 +126,9 @@ class MetricsHistory {
     uint64_t sum = 0;
     uint64_t buckets[Histogram::kBuckets] = {};
     /// Upper bound of the bucket holding rank ceil(q*count); 0 when empty.
-    uint64_t Quantile(double q) const;
+    uint64_t Quantile(double q) const {
+      return Histogram::BucketQuantile(buckets, count, q);
+    }
     /// Samples recorded in buckets strictly above the one holding
     /// `threshold` — i.e. values guaranteed > threshold (the SLO engine's
     /// "bad event" count; exact to the log2 bucket resolution).
@@ -136,23 +136,12 @@ class MetricsHistory {
   };
 
   MetricsHistory(MetricsRegistry* registry, HistoryOptions options);
-  ~MetricsHistory();
   MetricsHistory(const MetricsHistory&) = delete;
   MetricsHistory& operator=(const MetricsHistory&) = delete;
 
-  /// Starts the background sampler (no-op when interval_ms == 0).
-  void Start();
-  void Stop();
-
-  /// Takes one sample now (the sampler thread calls this; tests and
-  /// benchmarks call it directly for deterministic histories). Tick hooks
-  /// run after the sample is in the ring.
+  /// Takes one sample now (Database::Tick calls this; tests and benchmarks
+  /// call either directly for deterministic histories).
   void SampleNow();
-
-  /// Runs after every sample on the sampling thread (the SLO engine and
-  /// the scrub-gauge refresh ride here). Install before Start().
-  using TickHook = std::function<void(uint64_t now_mono_ns)>;
-  void AddTickHook(TickHook hook);
 
   size_t size() const;
   /// Monotonic stamp of the newest sample (0 when empty) — the "now" to
@@ -224,7 +213,6 @@ class MetricsHistory {
     std::vector<HistPoint> hists;
   };
 
-  void SamplerLoop();
   void AppendSampleLocked(Sample sample);
   /// Index of the oldest sample with mono_ns >= cutoff; size() if none.
   size_t LowerBoundLocked(uint64_t cutoff_mono) const;
@@ -243,14 +231,6 @@ class MetricsHistory {
   std::vector<std::string> hist_names_;
   std::deque<Sample> ring_;
   uint64_t samples_taken_ = 0;
-
-  std::vector<TickHook> hooks_;  ///< Written before Start(), read after.
-
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  bool sampler_running_ = false;
-  std::thread sampler_;
 };
 
 /// Renders the per-shard scrub-map heatmap from a persisted metrics

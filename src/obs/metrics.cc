@@ -4,25 +4,25 @@
 #include <bit>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
+#include <ctime>
+
+#include "common/json.h"
 
 namespace cwdb {
 
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
+std::string FormatWallNs(uint64_t wall_ns) {
+  if (wall_ns == 0) return "unknown";
+  time_t secs = static_cast<time_t>(wall_ns / 1000000000ull);
+  unsigned millis = static_cast<unsigned>((wall_ns % 1000000000ull) / 1000000);
+  struct tm tm_utc;
+  gmtime_r(&secs, &tm_utc);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03uZ",
+                tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
+                tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec, millis);
+  return buf;
 }
-
-}  // namespace
 
 size_t Counter::ThreadShard() {
   static std::atomic<size_t> next_thread{0};
@@ -52,7 +52,8 @@ void Histogram::Record(uint64_t value) {
   }
 }
 
-uint64_t Histogram::Snapshot::Quantile(double q) const {
+uint64_t Histogram::BucketQuantile(const uint64_t (&buckets)[kBuckets],
+                                   uint64_t count, double q) {
   if (count == 0) return 0;
   uint64_t rank = static_cast<uint64_t>(
       std::ceil(q * static_cast<double>(count)));
@@ -61,13 +62,9 @@ uint64_t Histogram::Snapshot::Quantile(double q) const {
   uint64_t seen = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
     seen += buckets[i];
-    if (seen >= rank) {
-      // Clamp the bucket's upper bound by the observed max so a one-sample
-      // histogram reports the sample's magnitude, not 2x it.
-      return std::min(Histogram::BucketUpperBound(i), max);
-    }
+    if (seen >= rank) return BucketUpperBound(i);
   }
-  return max;
+  return BucketUpperBound(kBuckets - 1);
 }
 
 Histogram::Snapshot Histogram::Capture() const {

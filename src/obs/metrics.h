@@ -1,6 +1,7 @@
 #ifndef CWDB_OBS_METRICS_H_
 #define CWDB_OBS_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -33,6 +34,10 @@ inline uint64_t WallNowNs() {
           std::chrono::system_clock::now().time_since_epoch())
           .count());
 }
+
+/// "2026-08-06T12:34:56.789Z" (UTC, milliseconds) from nanoseconds since
+/// the Unix epoch; "unknown" for 0.
+std::string FormatWallNs(uint64_t wall_ns);
 
 /// Monotonic 64-bit counter sharded across cache-line-padded atomic slots.
 /// Each thread is assigned one slot round-robin at first use, so concurrent
@@ -104,10 +109,18 @@ class Histogram {
     uint64_t p99 = 0;
     uint64_t buckets[kBuckets] = {};
 
-    /// Value at quantile q in [0,1]: upper bound of the bucket containing
-    /// ceil(q * count); 0 when empty.
-    uint64_t Quantile(double q) const;
+    /// Value at quantile q in [0,1]: BucketQuantile clamped by the
+    /// observed max, so a one-sample histogram reports the sample's
+    /// magnitude, not up to 2x it.
+    uint64_t Quantile(double q) const {
+      return std::min(BucketQuantile(buckets, count, q), max);
+    }
   };
+
+  /// Upper bound of the bucket holding rank ceil(q * count) in `buckets`
+  /// (at least rank 1); 0 when count is 0.
+  static uint64_t BucketQuantile(const uint64_t (&buckets)[kBuckets],
+                                 uint64_t count, double q);
 
   Snapshot Capture() const;
   uint64_t Count() const;
@@ -183,14 +196,7 @@ struct MetricsSnapshot {
 /// stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
-  MetricsRegistry()
-      : boot_mono_ns_(NowNs()),
-        boot_wall_ns_(WallNowNs()),
-        trace_(kDefaultTraceCapacity) {}
-  explicit MetricsRegistry(size_t trace_capacity)
-      : boot_mono_ns_(NowNs()),
-        boot_wall_ns_(WallNowNs()),
-        trace_(trace_capacity) {}
+  MetricsRegistry() : boot_mono_ns_(NowNs()), boot_wall_ns_(WallNowNs()) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -234,7 +240,6 @@ class MetricsRegistry {
   /// Returns the number of faults matched.
   size_t NoteDetection(uint64_t off, uint64_t len);
 
-  static constexpr size_t kDefaultTraceCapacity = 1024;
   static constexpr size_t kMaxPendingFaults = 4096;
 
  private:

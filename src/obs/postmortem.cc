@@ -6,7 +6,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/file_util.h"
@@ -47,19 +47,6 @@ std::string ReadStatusSlot(const std::string& b, StatusSlot slot) {
   uint32_t len = Read32(b, base + 4);
   if (len > kStatusTextBytes) len = kStatusTextBytes;
   return std::string(b.data() + base + 8, len);
-}
-
-std::string FormatWallNs(uint64_t wall_ns) {
-  if (wall_ns == 0) return "unknown";
-  time_t secs = static_cast<time_t>(wall_ns / 1'000'000'000ull);
-  struct tm tm_buf;
-  char buf[64];
-  if (gmtime_r(&secs, &tm_buf) == nullptr) return "unknown";
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%S", &tm_buf);
-  char out[96];
-  std::snprintf(out, sizeof(out), "%s.%03lluZ", buf,
-                static_cast<unsigned long long>(wall_ns / 1'000'000 % 1000));
-  return out;
 }
 
 const char* SignalName(int sig) {
@@ -117,28 +104,12 @@ Result<BlackBoxReport> DecodeBlackBox(const std::string& bytes) {
   r.watchdog_status = ReadStatusSlot(bytes, StatusSlot::kWatchdog);
   r.slo_status = ReadStatusSlot(bytes, StatusSlot::kSlo);
 
-  // Trace mirror: keep published slots whose CRC verifies.
-  for (uint64_t i = 0; i < kTraceSlots; ++i) {
-    const uint64_t slot = kTraceOff + i * kTraceSlotBytes;
-    const uint64_t ticket = Read64(bytes, slot + kTsTicket);
-    if (ticket == 0 || ticket % 2 != 0) continue;
-    TraceEvent e;
-    e.seq = ticket / 2 - 1;
-    e.t_ns = Read64(bytes, slot + kTsTNs);
-    e.lsn = Read64(bytes, slot + kTsLsn);
-    e.a = Read64(bytes, slot + kTsA);
-    e.b = Read64(bytes, slot + kTsB);
-    e.shard = Read64(bytes, slot + kTsShard);
-    const uint32_t type = Read32(bytes, slot + kTsType);
-    if (type > static_cast<uint32_t>(TraceEventType::kRepair)) continue;
-    e.type = static_cast<TraceEventType>(type);
-    if (TraceSlotCrc(e) != Read32(bytes, slot + kTsCrc)) continue;
-    r.events.push_back(e);
-  }
-  std::sort(r.events.begin(), r.events.end(),
-            [](const TraceEvent& x, const TraceEvent& y) {
-              return x.seq < y.seq;
-            });
+  // The event ring, read through the ring itself from a word-aligned copy.
+  std::vector<uint64_t> ring_words(kTraceSlots * kTraceSlotBytes / 8);
+  std::memcpy(ring_words.data(), bytes.data() + kTraceOff,
+              kTraceSlots * kTraceSlotBytes);
+  r.events =
+      ReadTraceRing(SeqRing<TraceSlot>(ring_words.data(), kTraceSlots));
 
   // Latest metrics sample (seqlock'd: dropped wholesale when torn).
   if (Read32(bytes, kSampleOff + 0) % 2 == 0) {

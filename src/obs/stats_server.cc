@@ -10,23 +10,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
+#include "common/json.h"
+
 namespace cwdb {
 namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
-}
 
 /// "txn.commit_latency_ns" -> "cwdb_txn_commit_latency_ns".
 std::string PromName(std::string_view name) {

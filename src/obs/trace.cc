@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/logging.h"
+#include "common/crc32.h"
 #include "obs/metrics.h"
 
 namespace cwdb {
@@ -108,61 +108,51 @@ const char* RecoveryPhaseName(RecoveryPhase phase) {
   return "?";
 }
 
-EventTrace::EventTrace(size_t capacity) : slots_(capacity) {
-  CWDB_CHECK(capacity > 0 && (capacity & (capacity - 1)) == 0)
-      << "trace capacity must be a power of two";
+TraceSlot EncodeTraceSlot(const TraceEvent& e) {
+  TraceSlot s;
+  s.t_ns = e.t_ns;
+  s.lsn = e.lsn;
+  s.a = e.a;
+  s.b = e.b;
+  s.shard = e.shard;
+  s.type = static_cast<uint32_t>(e.type);
+  s.crc = Crc32c(&s, offsetof(TraceSlot, crc));
+  return s;
 }
 
-void EventTrace::Record(TraceEventType type, uint64_t lsn, uint64_t a,
-                        uint64_t b, uint64_t shard) {
-  uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = slots_[seq & (slots_.size() - 1)];
-  const uint64_t t_ns = NowNs();
-  s.ticket.store(2 * seq + 1, std::memory_order_release);
-  s.t_ns.store(t_ns, std::memory_order_relaxed);
-  s.lsn.store(lsn, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.shard.store(shard, std::memory_order_relaxed);
-  s.type.store(static_cast<uint8_t>(type), std::memory_order_relaxed);
-  s.ticket.store(2 * seq + 2, std::memory_order_release);
-  if (TraceSink* sink = sink_.load(std::memory_order_acquire)) {
+std::vector<TraceEvent> ReadTraceRing(const SeqRing<TraceSlot>& ring) {
+  std::vector<TraceEvent> out;
+  out.reserve(ring.capacity());
+  ring.ForEach([&out](uint64_t seq, const TraceSlot& s) {
+    if (s.type > static_cast<uint32_t>(TraceEventType::kRepair)) return;
+    if (Crc32c(&s, offsetof(TraceSlot, crc)) != s.crc) return;
     TraceEvent e;
     e.seq = seq;
-    e.t_ns = t_ns;
-    e.lsn = lsn;
-    e.a = a;
-    e.b = b;
-    e.shard = shard;
-    e.type = type;
-    sink->OnTraceEvent(e);
-  }
-}
-
-std::vector<TraceEvent> EventTrace::Snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(slots_.size());
-  for (const Slot& s : slots_) {
-    uint64_t ticket = s.ticket.load(std::memory_order_acquire);
-    if (ticket == 0 || (ticket & 1) != 0) continue;  // Empty or mid-write.
-    TraceEvent e;
-    e.seq = ticket / 2 - 1;
-    e.t_ns = s.t_ns.load(std::memory_order_relaxed);
-    e.lsn = s.lsn.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.shard = s.shard.load(std::memory_order_relaxed);
-    e.type = static_cast<TraceEventType>(s.type.load(std::memory_order_relaxed));
-    // A writer may have lapped us mid-copy; keep the event only if the
-    // slot still belongs to the seq we started reading.
-    if (s.ticket.load(std::memory_order_acquire) != ticket) continue;
+    e.t_ns = s.t_ns;
+    e.lsn = s.lsn;
+    e.a = s.a;
+    e.b = s.b;
+    e.shard = s.shard;
+    e.type = static_cast<TraceEventType>(s.type);
     out.push_back(e);
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& x, const TraceEvent& y) {
               return x.seq < y.seq;
             });
   return out;
+}
+
+void EventTrace::Record(TraceEventType type, uint64_t lsn, uint64_t a,
+                        uint64_t b, uint64_t shard) {
+  TraceEvent e;
+  e.t_ns = NowNs();
+  e.lsn = lsn;
+  e.a = a;
+  e.b = b;
+  e.shard = shard;
+  e.type = type;
+  ring_.Push(EncodeTraceSlot(e));
 }
 
 }  // namespace cwdb

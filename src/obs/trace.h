@@ -1,10 +1,12 @@
 #ifndef CWDB_OBS_TRACE_H_
 #define CWDB_OBS_TRACE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/seq_ring.h"
 
 namespace cwdb {
 
@@ -70,26 +72,45 @@ struct TraceEvent {
 /// and the dossier's trace-snapshot rendering.
 std::string DescribeTraceEvent(const TraceEvent& e);
 
-/// Receives every recorded trace event on the recording thread, after the
-/// slot publishes. Implementations must be lock-free and non-blocking (the
-/// hot paths record events while holding shard latches): the flight
-/// recorder mirrors events into its mmap'd ring with plain stores.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void OnTraceEvent(const TraceEvent& e) noexcept = 0;
+/// One event-ring slot after its ticket word: the exact bytes of a v1
+/// black-box trace slot at offsets 8..64 (DESIGN.md §13), so the ring can
+/// live in blackbox.bin unchanged. `crc` is the CRC-32C of the 44 bytes
+/// before it; it lets the postmortem decoder reject a slot torn by page
+/// writeback after a machine crash (process death cannot tear one: the
+/// ticket covers a write in progress).
+struct TraceSlot {
+  uint64_t t_ns = 0;
+  uint64_t lsn = 0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t shard = 0;
+  uint32_t type = 0;
+  uint32_t crc = 0;
+  uint64_t reserved = 0;  ///< Pads the slot to 64 bytes; always zero.
 };
+static_assert(sizeof(TraceSlot) == 56 && offsetof(TraceSlot, crc) == 44,
+              "TraceSlot is the v1 black-box slot layout");
 
-/// Fixed-capacity lock-light flight recorder. Writers claim a slot with one
-/// atomic fetch_add and publish it with a per-slot ticket (odd = write in
-/// progress, even = complete); every payload field is a relaxed atomic, so
-/// recording takes no lock and readers never block writers. Snapshot()
-/// drops slots whose ticket changed mid-copy (a writer lapped the reader),
-/// so it returns only consistent events, oldest first.
+/// The one trace-slot encoding (computes the CRC).
+TraceSlot EncodeTraceSlot(const TraceEvent& e);
+
+/// The events resident in an event ring, ascending seq: the one read of
+/// one, live or out of a black box. Drops slots whose type is unknown or
+/// whose CRC does not verify.
+std::vector<TraceEvent> ReadTraceRing(const SeqRing<TraceSlot>& ring);
+
+/// The engine's event trace: a SeqRing of kSlots encoded events. Recording
+/// is a fetch_add, a CAS claiming the slot and the slot's word stores — no
+/// lock — and readers never block writers. Snapshot() returns the
+/// consistent events, oldest first. The ring starts on the heap; with the
+/// flight recorder on it moves into the black box's trace section
+/// (MoveTo), so each event is written once and still survives the process.
 class EventTrace {
  public:
-  /// `capacity` must be a power of two.
-  explicit EventTrace(size_t capacity);
+  /// Equal to the black box's trace section.
+  static constexpr size_t kSlots = 256;
+
+  EventTrace() : ring_(kSlots) {}
   EventTrace(const EventTrace&) = delete;
   EventTrace& operator=(const EventTrace&) = delete;
 
@@ -97,36 +118,19 @@ class EventTrace {
               uint64_t b = 0, uint64_t shard = kNoTraceShard);
 
   /// Consistent events currently resident in the ring, ascending seq.
-  std::vector<TraceEvent> Snapshot() const;
+  std::vector<TraceEvent> Snapshot() const { return ReadTraceRing(ring_); }
 
-  /// Total events ever recorded (>= Snapshot().size(); the excess wrapped).
-  uint64_t recorded() const { return head_.load(std::memory_order_relaxed); }
+  /// Total events ever recorded (>= Snapshot().size(); the excess wrapped
+  /// or was dropped).
+  uint64_t recorded() const { return ring_.pushed(); }
 
-  size_t capacity() const { return slots_.size(); }
-
-  /// Installs (or clears, with nullptr) the mirror sink. The owner must
-  /// guarantee the sink outlives every Record() call that can observe it —
-  /// Database clears the sink before the flight recorder is destroyed.
-  void set_sink(TraceSink* sink) {
-    sink_.store(sink, std::memory_order_release);
-  }
+  /// Moves the ring, with its resident events, into `storage` (kSlots
+  /// slots, e.g. FlightRecorder::trace_section()), which must outlive this
+  /// trace. Call before any thread can Record.
+  void MoveTo(uint64_t* storage) { ring_.MoveTo(storage); }
 
  private:
-  struct Slot {
-    /// 2*seq+1 while the writer of `seq` is filling the slot, 2*seq+2 once
-    /// published. 0 = never written.
-    std::atomic<uint64_t> ticket{0};
-    std::atomic<uint64_t> t_ns{0};
-    std::atomic<uint64_t> lsn{0};
-    std::atomic<uint64_t> a{0};
-    std::atomic<uint64_t> b{0};
-    std::atomic<uint64_t> shard{kNoTraceShard};
-    std::atomic<uint8_t> type{0};
-  };
-
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> head_{0};
-  std::atomic<TraceSink*> sink_{nullptr};
+  SeqRing<TraceSlot> ring_;
 };
 
 }  // namespace cwdb

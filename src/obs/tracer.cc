@@ -50,9 +50,7 @@ void Tracer::Configure(const TracerOptions& options) {
   size_t cap = RoundUpPow2(std::max<size_t>(options.ring_capacity, 64));
   rings_.reserve(kRings);
   for (size_t i = 0; i < kRings; ++i) {
-    auto ring = std::make_unique<Ring>();
-    ring->slots = std::vector<Slot>(cap);
-    rings_.push_back(std::move(ring));
+    rings_.push_back(std::make_unique<SeqRing<SpanRecord>>(cap));
   }
   enabled_.store(true, std::memory_order_release);
 }
@@ -97,44 +95,24 @@ void Tracer::RecordWithId(const SpanContext& ctx, uint64_t span_id,
                           SpanKind kind, uint64_t start_ns, uint64_t end_ns,
                           uint64_t a, uint64_t b) {
   if (!ctx.sampled()) return;
-  Ring& ring = *rings_[RingIndex()];
-  uint64_t seq = ring.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring.slots[seq & (ring.slots.size() - 1)];
-  s.ticket.store(2 * seq + 1, std::memory_order_release);
-  s.trace_id.store(ctx.trace_id, std::memory_order_relaxed);
-  s.span_id.store(span_id, std::memory_order_relaxed);
-  s.parent_id.store(ctx.span_id, std::memory_order_relaxed);
-  s.start_ns.store(start_ns, std::memory_order_relaxed);
-  s.dur_ns.store(end_ns > start_ns ? end_ns - start_ns : 0,
-                 std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.tid.store(ThreadOrdinal(), std::memory_order_relaxed);
-  s.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
-  s.ticket.store(2 * seq + 2, std::memory_order_release);
+  SpanRecord r;
+  r.trace_id = ctx.trace_id;
+  r.span_id = span_id;
+  r.parent_id = ctx.span_id;
+  r.start_ns = start_ns;
+  r.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
+  r.a = a;
+  r.b = b;
+  r.tid = ThreadOrdinal();
+  r.kind = kind;
+  rings_[RingIndex()]->Push(r);
 }
 
 std::vector<SpanRecord> Tracer::Snapshot() const {
   std::vector<SpanRecord> out;
   for (const auto& ring : rings_) {
-    for (const Slot& s : ring->slots) {
-      uint64_t ticket = s.ticket.load(std::memory_order_acquire);
-      if (ticket == 0 || (ticket & 1) != 0) continue;
-      SpanRecord r;
-      r.trace_id = s.trace_id.load(std::memory_order_relaxed);
-      r.span_id = s.span_id.load(std::memory_order_relaxed);
-      r.parent_id = s.parent_id.load(std::memory_order_relaxed);
-      r.start_ns = s.start_ns.load(std::memory_order_relaxed);
-      r.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-      r.a = s.a.load(std::memory_order_relaxed);
-      r.b = s.b.load(std::memory_order_relaxed);
-      r.tid = s.tid.load(std::memory_order_relaxed);
-      r.kind = static_cast<SpanKind>(s.kind.load(std::memory_order_relaxed));
-      // Keep the span only if the slot still belongs to the seq we started
-      // reading (a writer may have lapped us mid-copy).
-      if (s.ticket.load(std::memory_order_acquire) != ticket) continue;
-      out.push_back(r);
-    }
+    ring->ForEach(
+        [&out](uint64_t, const SpanRecord& r) { out.push_back(r); });
   }
   std::sort(out.begin(), out.end(),
             [](const SpanRecord& x, const SpanRecord& y) {
@@ -146,9 +124,7 @@ std::vector<SpanRecord> Tracer::Snapshot() const {
 
 uint64_t Tracer::recorded() const {
   uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    total += ring->head.load(std::memory_order_relaxed);
-  }
+  for (const auto& ring : rings_) total += ring->pushed();
   return total;
 }
 

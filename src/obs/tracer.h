@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/seq_ring.h"
 #include "obs/span.h"
 
 namespace cwdb {
@@ -29,13 +30,10 @@ struct TracerOptions {
 
 /// Sampling span tracer. One per MetricsRegistry (i.e. per Database).
 ///
-/// Writers publish completed spans into one of a fixed set of lock-free
-/// ring buffers — each thread is assigned a ring round-robin at first use
-/// and sticks to it, so concurrent committers never touch the same slot —
-/// using the same ticket discipline as EventTrace (odd ticket = write in
-/// progress, even = published; see DESIGN.md §11 for the memory-ordering
-/// argument). Snapshot() merges the rings, dropping slots a writer lapped
-/// mid-copy.
+/// Writers publish completed spans into one of a fixed set of SeqRings —
+/// each thread is assigned a ring round-robin at first use and sticks to
+/// it, so concurrent committers never touch the same slot. Snapshot()
+/// merges the rings, dropping slots a writer lapped mid-copy.
 ///
 /// Sampling is deterministic: candidate n is traced iff
 /// splitmix64(seed ^ n) < rate * 2^64, so a fixed seed replays the same
@@ -98,24 +96,6 @@ class Tracer {
   static constexpr size_t kRings = 16;
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> ticket{0};  ///< 2*seq+1 writing, 2*seq+2 done.
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<uint64_t> parent_id{0};
-    std::atomic<uint64_t> start_ns{0};
-    std::atomic<uint64_t> dur_ns{0};
-    std::atomic<uint64_t> a{0};
-    std::atomic<uint64_t> b{0};
-    std::atomic<uint32_t> tid{0};
-    std::atomic<uint8_t> kind{0};
-  };
-
-  struct Ring {
-    std::vector<Slot> slots;
-    std::atomic<uint64_t> head{0};
-  };
-
   friend class ScopedSpanContext;
 
   size_t RingIndex() const;
@@ -127,7 +107,7 @@ class Tracer {
   std::atomic<uint64_t> candidates_{0};
   std::atomic<uint64_t> next_trace_id_{1};
   std::atomic<uint64_t> next_span_id_{1};
-  std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<std::unique_ptr<SeqRing<SpanRecord>>> rings_;
 };
 
 /// RAII installer for the thread's ambient context (Tracer::Current).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <set>
 
@@ -10,20 +9,6 @@
 #include "storage/attribution.h"
 
 namespace cwdb {
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-  }
-}
-
-}  // namespace
 
 const char* ProvenanceReasonName(ProvenanceReason r) {
   switch (r) {

@@ -176,6 +176,14 @@ TEST(MetricsHistoryRing, QueryJsonShapesAndErrors) {
   EXPECT_FALSE(hist.QueryJson("window=60s").ok());
   EXPECT_FALSE(hist.QueryJson("metric=txn.commits&window=bogus").ok());
   EXPECT_FALSE(hist.QueryJson("metric=no.such.metric").ok());
+  // Windows whose nanoseconds do not fit in 64 bits are refused, not
+  // wrapped into a short window.
+  EXPECT_TRUE(hist.QueryJson("metric=txn.commits&window=18446744073s").ok());
+  EXPECT_FALSE(
+      hist.QueryJson("metric=txn.commits&window=18446744074s").ok());
+  EXPECT_FALSE(
+      hist.QueryJson("metric=txn.commits&window=99999999999999999999ms")
+          .ok());
 }
 
 TEST(MetricsHistoryPersist, SaveLoadRoundTrip) {
@@ -282,7 +290,7 @@ TEST(MetricsHistoryPersist, SurvivesDatabaseReopen) {
     ASSERT_TRUE(t.ok());
     ASSERT_TRUE((*db)->Insert(*txn, *t, std::string(32, 'x')).ok());
     ASSERT_OK((*db)->Commit(*txn));
-    for (int i = 0; i < 3; ++i) (*db)->history()->SampleNow();
+    for (int i = 0; i < 3; ++i) (*db)->Tick();
     latest_before = (*db)->history()->LatestMono();
     ASSERT_OK((*db)->Close());  // Persists metrics_history.bin.
   }
@@ -295,7 +303,7 @@ TEST(MetricsHistoryPersist, SurvivesDatabaseReopen) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NE(r->find("\"points\""), std::string::npos);
   size_t before = (*db)->history()->size();
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
   EXPECT_EQ((*db)->history()->size(), before + 1);
 }
 
@@ -317,7 +325,7 @@ TEST(MetricsHistoryPersist, TornDumpCrashLeavesLoadablePrefix) {
         !(*db)->Commit(*txn).ok()) {
       ::_exit(12);
     }
-    for (int i = 0; i < 3; ++i) (*db)->history()->SampleNow();
+    for (int i = 0; i < 3; ++i) (*db)->Tick();
     crashpoint::Spec spec;
     spec.mode = crashpoint::Mode::kTornWrite;
     spec.countdown = 1;
@@ -348,6 +356,32 @@ TEST(MetricsHistoryPersist, TornDumpCrashLeavesLoadablePrefix) {
   auto db = Database::Open(opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_LE((*db)->history()->size(), 3u);
+}
+
+TEST(MetricsHistoryPersist, PeriodicFlushAndDumpMetricsNeverCollide) {
+  // Both flush paths stage every file in <file>.tmp: an explicit
+  // DumpMetrics racing the ticker's flush must not truncate the other's
+  // temp file or lose its rename.
+  TempDir dir;
+  DatabaseOptions opts =
+      SmallDbOptions(dir.path(), ProtectionScheme::kDataCodeword);
+  opts.metrics.flush_interval_ms = 1;
+  auto db = Database::Open(opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Counter* flushes = (*db)->metrics()->counter("obs.metrics_flushes");
+  Counter* failures = (*db)->metrics()->counter("obs.metrics_flush_failures");
+  for (int i = 0; i < 300; ++i) {
+    auto json = (*db)->DumpMetrics();
+    ASSERT_TRUE(json.ok()) << "call " << i << ": " << json.status().ToString();
+  }
+  const uint64_t before = flushes->Value();
+  const uint64_t deadline = NowNs() + 10'000'000'000ull;
+  while (flushes->Value() == before && NowNs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(flushes->Value(), before) << "the periodic flush never ran";
+  EXPECT_EQ(failures->Value(), 0u);
+  ASSERT_OK((*db)->Close());
 }
 
 TEST(ScrubMapTest, AgesGaugesAndFullAudit) {
@@ -481,9 +515,9 @@ TEST(SloEngineTest, BurnFilesDossierDegradesHealthzAndRecovers) {
     ASSERT_TRUE((*db)->Insert(*txn, *t, std::string(32, 'y')).ok());
     ASSERT_OK((*db)->Commit(*txn));
   }
-  // Each SampleNow ticks the SLO engine; two samples arm the windows.
-  (*db)->history()->SampleNow();
-  (*db)->history()->SampleNow();
+  // Each Tick evaluates the SLO engine; two samples arm the windows.
+  (*db)->Tick();
+  (*db)->Tick();
 
   ASSERT_TRUE((*db)->slo()->AnyBurning());
   std::string reason = (*db)->slo()->BurnReason();
@@ -504,13 +538,13 @@ TEST(SloEngineTest, BurnFilesDossierDegradesHealthzAndRecovers) {
   EXPECT_GE(states[0].last_incident_id, 1u);
 
   // Still burning on the next tick: no second dossier (hysteresis).
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
   states = (*db)->slo()->Snapshot();
   EXPECT_EQ(states[0].burn_episodes, 1u);
 
   // Recovery: the bad events age out of both windows.
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
   EXPECT_FALSE((*db)->slo()->AnyBurning());
   resp = HttpGet((*db)->stats_port(), "/healthz");
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos) << resp;
@@ -558,8 +592,8 @@ TEST(SloEngineTest, CorruptionStormBurnsDetectionSloThenRecovers) {
       (*db)->metrics()->histogram("protect.detection_latency_ns")->Count(),
       0u);
 
-  (*db)->history()->SampleNow();
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
+  (*db)->Tick();
   ASSERT_TRUE((*db)->slo()->AnyBurning());
   EXPECT_NE((*db)->slo()->BurnReason().find("detection_p99"),
             std::string::npos);
@@ -577,7 +611,7 @@ TEST(SloEngineTest, CorruptionStormBurnsDetectionSloThenRecovers) {
   // windows: health and SLO both return to green.
   ASSERT_OK((*db)->RecoverFromCorruption(report->ranges));
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
   EXPECT_FALSE((*db)->slo()->AnyBurning());
   resp = HttpGet((*db)->stats_port(), "/healthz");
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos) << resp;
@@ -598,9 +632,9 @@ TEST(TopViewTest, TpcbHistoryRendersTopQueryAndScrubMap) {
   TpcbWorkload workload(db->get(), cfg);
   ASSERT_OK(workload.Setup());
 
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
   ASSERT_TRUE(workload.RunConcurrent(2, 300).ok());
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
 
   // The acceptance triad: a non-empty top view, a non-empty /query
   // answer, and a scrub map that shows staleness.

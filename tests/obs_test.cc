@@ -1,14 +1,17 @@
 // Unit tests for the observability layer (src/obs): sharded counters,
-// log-bucketed histograms, the event-trace ring buffer, the registry's
-// snapshot/JSON exporters and the detection-latency fault matcher.
+// log-bucketed histograms, the SeqRing slot protocol and the event trace
+// on it, the registry's snapshot/JSON exporters and the detection-latency
+// fault matcher.
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "obs/seq_ring.h"
 #include "obs/trace.h"
 
 namespace cwdb {
@@ -105,7 +108,7 @@ TEST(HistogramTest, ConcurrentRecordsKeepExactCount) {
 }
 
 TEST(EventTraceTest, RecordsInOrder) {
-  EventTrace trace(16);
+  EventTrace trace;
   trace.Record(TraceEventType::kAuditPassBegin, 7, 1, 2);
   trace.Record(TraceEventType::kAuditPassEnd, 9, 3, 4);
   std::vector<TraceEvent> events = trace.Snapshot();
@@ -120,8 +123,8 @@ TEST(EventTraceTest, RecordsInOrder) {
 }
 
 TEST(EventTraceTest, WraparoundKeepsNewestCapacityEvents) {
-  constexpr size_t kCap = 8;
-  EventTrace trace(kCap);
+  constexpr size_t kCap = EventTrace::kSlots;
+  EventTrace trace;
   for (uint64_t i = 0; i < 3 * kCap; ++i) {
     trace.Record(TraceEventType::kGroupCommitFlush, i, i, 0);
   }
@@ -135,7 +138,7 @@ TEST(EventTraceTest, WraparoundKeepsNewestCapacityEvents) {
 }
 
 TEST(EventTraceTest, ConcurrentWritersProduceUniqueSeqs) {
-  EventTrace trace(64);
+  EventTrace trace;
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -149,10 +152,69 @@ TEST(EventTraceTest, ConcurrentWritersProduceUniqueSeqs) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(trace.recorded(), kThreads * kPerThread);
   std::vector<TraceEvent> events = trace.Snapshot();
-  EXPECT_LE(events.size(), 64u);
+  EXPECT_LE(events.size(), EventTrace::kSlots);
   std::set<uint64_t> seqs;
   for (const TraceEvent& e : events) seqs.insert(e.seq);
   EXPECT_EQ(seqs.size(), events.size()) << "duplicate seq in snapshot";
+}
+
+TEST(EventTraceTest, MovedRingKeepsResidentEvents) {
+  EventTrace trace;
+  trace.Record(TraceEventType::kCheckpoint, 5, 6, 7);
+  std::vector<uint64_t> storage(EventTrace::kSlots *
+                                SeqRing<TraceSlot>::kSlotBytes / 8);
+  trace.MoveTo(storage.data());
+  trace.Record(TraceEventType::kRepair, 8, 9, 10);
+  std::vector<TraceEvent> events = trace.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].lsn, 5u);
+  EXPECT_EQ(events[1].lsn, 8u);
+  EXPECT_EQ(events[1].seq, 1u);
+  EXPECT_NE(storage[0], 0u);  // Slot 0's ticket now lives in `storage`.
+}
+
+/// Four payload words that are all functions of (writer, n): any record
+/// that mixes two writes breaks at least one of the relations.
+struct StressRecord {
+  uint64_t writer;
+  uint64_t n;
+  uint64_t mix;
+  uint64_t check;
+};
+
+StressRecord MakeStressRecord(uint64_t writer, uint64_t n) {
+  uint64_t mix = (writer << 32 | n) * 0x9e3779b97f4a7c15ull;
+  return StressRecord{writer, n, mix, ~mix ^ writer};
+}
+
+TEST(SeqRingTest, ReaderNeverReturnsAMixedRecord) {
+  SeqRing<StressRecord> ring(4);
+  constexpr uint64_t kWriters = 8;
+  constexpr uint64_t kPerWriter = 20000;
+  std::atomic<uint64_t> writers_done{0};
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, &writers_done, w] {
+      for (uint64_t n = 0; n < kPerWriter; ++n) {
+        ring.Push(MakeStressRecord(w, n));
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  uint64_t checked = 0, mixed = 0;
+  do {
+    ring.ForEach([&](uint64_t, const StressRecord& r) {
+      ++checked;
+      StressRecord want = MakeStressRecord(r.writer, r.n);
+      if (r.writer >= kWriters || r.mix != want.mix ||
+          r.check != want.check) {
+        ++mixed;
+      }
+    });
+  } while (writers_done.load() < kWriters);
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(mixed, 0u) << "of " << checked << " records read";
+  EXPECT_EQ(ring.pushed(), kWriters * kPerWriter);
 }
 
 TEST(MetricsRegistryTest, InstrumentsAreInternedByName) {

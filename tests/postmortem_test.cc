@@ -21,6 +21,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/forensics.h"
 #include "obs/postmortem.h"
+#include "obs/seq_ring.h"
 #include "tests/test_util.h"
 
 namespace cwdb {
@@ -235,6 +236,59 @@ TEST(Postmortem, GarbageBlackBoxIsToleratedAtOpen) {
   Result<BlackBoxReport> box = ReadBlackBox(files.BlackBox());
   EXPECT_TRUE(box.ok()) << box.status().ToString();
   ASSERT_OK((*db)->Close());
+}
+
+TEST(Postmortem, TraceSlotBytesArePinned) {
+  // A v1 trace slot, spelled out: ticket at +0; t_ns, lsn, a, b, shard at
+  // +8..+40; the type as u32 at +48; the CRC-32C of bytes +8..+52 at +52.
+  // The event ring writes these bytes in place and the decoder reads them,
+  // so pinning them here keeps the two from drifting together.
+  static const uint8_t kSlot1[64] = {
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ticket 2*1+2
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // t_ns
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // lsn
+      0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,  // a
+      0x38, 0x37, 0x36, 0x35, 0x34, 0x33, 0x32, 0x31,  // b
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // shard
+      0x0c, 0x00, 0x00, 0x00, 0x64, 0xa1, 0xab, 0x6b,  // type=12, crc
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  TempDir dir;
+  const std::string path = dir.path() + "/blackbox.bin";
+  Result<std::unique_ptr<FlightRecorder>> fr =
+      FlightRecorder::Create(path, FlightRecorderInfo{});
+  ASSERT_TRUE(fr.ok()) << fr.status().ToString();
+  // The clock-free half of EventTrace::Record: encode, push into the box.
+  SeqRing<TraceSlot> ring((*fr)->trace_section(), blackbox::kTraceSlots);
+  TraceEvent e;
+  e.t_ns = 0x0102030405060708ull;
+  e.lsn = 0x1112131415161718ull;
+  e.a = 0x2122232425262728ull;
+  e.b = 0x3132333435363738ull;
+  e.shard = 5;
+  e.type = TraceEventType::kRepair;
+  ASSERT_TRUE(ring.Push(EncodeTraceSlot(TraceEvent{})));  // seq 0, slot 0
+  ASSERT_TRUE(ring.Push(EncodeTraceSlot(e)));             // seq 1, slot 1
+
+  std::string bytes;
+  ASSERT_OK(ReadFileToString(path, &bytes));
+  ASSERT_EQ(bytes.size(), blackbox::kTotalBytes);
+  EXPECT_EQ(bytes.substr(blackbox::kTraceOff + blackbox::kTraceSlotBytes,
+                         blackbox::kTraceSlotBytes),
+            std::string(reinterpret_cast<const char*>(kSlot1),
+                        sizeof(kSlot1)));
+
+  Result<BlackBoxReport> box = DecodeBlackBox(bytes);
+  ASSERT_TRUE(box.ok()) << box.status().ToString();
+  ASSERT_EQ(box->events.size(), 2u);
+  const TraceEvent& got = box->events[1];
+  EXPECT_EQ(got.seq, 1u);
+  EXPECT_EQ(got.t_ns, e.t_ns);
+  EXPECT_EQ(got.lsn, e.lsn);
+  EXPECT_EQ(got.a, e.a);
+  EXPECT_EQ(got.b, e.b);
+  EXPECT_EQ(got.shard, e.shard);
+  EXPECT_EQ(got.type, e.type);
 }
 
 TEST(Postmortem, DecoderRejectsNonBoxes) {

@@ -260,8 +260,8 @@ TEST(StatsServer, DatabaseIntegration) {
             std::string::npos);
 
   // GET /query serves time series out of the database's history ring.
-  (*db)->history()->SampleNow();
-  (*db)->history()->SampleNow();
+  (*db)->Tick();
+  (*db)->Tick();
   std::string q =
       HttpGet((*db)->stats_port(), "/query?metric=txn.commits&window=60s");
   EXPECT_NE(q.find("HTTP/1.0 200 OK"), std::string::npos) << q;
