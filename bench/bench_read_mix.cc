@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
     TpcbConfig cfg = base_cfg;
     cfg.read_fraction = frac;
     // All schemes of a row stay open; measured runs interleave round-robin
-    // so machine drift cancels across the row (see bench_table2).
+    // so machine drift cancels across the row (as in perfbench's Table 2
+    // phase).
     Bench benches[kColCount];
     for (size_t i = 0; i < kColCount; ++i) {
       SetupOne(std::string(base) + "/m" + std::to_string(idx++), kCols[i],

@@ -25,11 +25,6 @@
 //             the --trace-out directory.
 //   --trace-out <path>  output directory for the --trace artifacts
 //             (default ".").
-//   --history enable the metrics-history sampler + SLO engine on the
-//             traced pass and copy metrics_history.bin, metrics.json and
-//             slo_report.json into --trace-out, so CI can render
-//             `cwdb_ctl top --once` and gate on the SLO report. Implies
-//             nothing for the measured passes (they stay sampler-free).
 
 #include <algorithm>
 #include <cinttypes>
@@ -42,7 +37,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "ckpt/checkpoint.h"
 #include "common/file_util.h"
 #include "core/database.h"
 #include "obs/trace_export.h"
@@ -63,10 +57,6 @@ struct TraceArtifacts {
   std::string chrome_json;       ///< Perfetto-loadable trace-event JSON.
   std::string attribution_json;  ///< Per-stage p50/p99 shares.
   size_t spans = 0;
-  bool history = false;        ///< Sample history + SLOs during the pass.
-  std::string history_bin;     ///< metrics_history.bin contents (--history).
-  std::string metrics_json;    ///< metrics.json contents (--history).
-  std::string slo_json;        ///< slo_report.json contents (--history).
 };
 
 Point RunPoint(const std::string& dir, int threads, size_t shards,
@@ -95,13 +85,6 @@ Point RunPoint(const std::string& dir, int threads, size_t shards,
     // attribution artifact is comparable across CI runs.
     opts.trace_sample_rate = 1.0;
     opts.trace_ring_capacity = 1 << 16;
-    if (trace_out->history) {
-      // Fast cadence so even a --smoke traced pass (a few seconds) puts a
-      // few dozen samples in the ring — enough for `top` sparklines and
-      // multi-sample SLO windows.
-      opts.history.interval_ms = 50;
-      opts.slo.enabled = true;
-    }
   }
   auto db = Database::Open(opts);
   if (!db.ok()) {
@@ -141,22 +124,6 @@ Point RunPoint(const std::string& dir, int threads, size_t shards,
     trace_out->chrome_json = SpansToChromeJson(dump);
     trace_out->attribution_json =
         AttributionToJson(ComputeAttribution(dump.spans));
-    if (trace_out->history) {
-      // One last sample so the final transaction totals are in the ring,
-      // then persist and grab the artifacts before the directory goes.
-      (*db)->Tick();
-      auto json = (*db)->DumpMetrics();
-      if (!json.ok()) {
-        std::fprintf(stderr, "metrics dump failed: %s\n",
-                     json.status().ToString().c_str());
-        std::exit(1);
-      }
-      trace_out->metrics_json = *json;
-      DbFiles files(dir);
-      (void)ReadFileToString(files.MetricsHistoryFile(),
-                             &trace_out->history_bin);
-      (void)ReadFileToString(files.SloReportFile(), &trace_out->slo_json);
-    }
   }
   DumpDbMetricsIfRequested(db->get());
   // Remove this point's database before the next one runs. The checkpoint
@@ -177,7 +144,6 @@ int main(int argc, char** argv) {
   const bool json = JsonMode(argc, argv);
   bool smoke = false;
   bool trace = false;
-  bool history = false;
   size_t shards = 4;
   int trials_override = 0;
   std::string parent = "/var/tmp";
@@ -185,7 +151,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--trace") == 0) trace = true;
-    if (std::strcmp(argv[i], "--history") == 0) history = true;
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out_dir = argv[++i];
     }
@@ -199,7 +164,6 @@ int main(int argc, char** argv) {
       trials_override = std::atoi(argv[++i]);
     }
   }
-  if (history) trace = true;  // History rides the traced pass.
   const uint64_t txns_per_thread = smoke ? 300 : 3000;
   const int trials = trials_override > 0 ? trials_override : (smoke ? 1 : 5);
 
@@ -285,7 +249,6 @@ int main(int argc, char** argv) {
     // untouched). The attribution artifact is what CI diffs for drift.
     const int t = thread_counts.back();
     TraceArtifacts artifacts;
-    artifacts.history = history;
     std::string dir = std::string(base) + "/traced";
     (void)RunPoint(dir, t, shards, txns_per_thread * t, &artifacts);
     Status s1 = WriteFileAtomic(trace_out_dir + "/tpcb_spans.json",
@@ -302,32 +265,6 @@ int main(int argc, char** argv) {
                  "attribution -> %s/tpcb_attribution.json\n",
                  artifacts.spans, trace_out_dir.c_str(),
                  trace_out_dir.c_str());
-    if (history) {
-      // The history/SLO artifacts feed `cwdb_ctl top --once` and the CI
-      // SLO gate. An empty ring here means the sampler never ran — fail
-      // loudly rather than upload hollow artifacts.
-      if (artifacts.history_bin.empty()) {
-        std::fprintf(stderr, "--history produced no metrics_history.bin\n");
-        return 1;
-      }
-      Status h1 = WriteFileAtomic(trace_out_dir + "/metrics_history.bin",
-                                  artifacts.history_bin);
-      Status h2 = WriteFileAtomic(trace_out_dir + "/metrics.json",
-                                  artifacts.metrics_json);
-      Status h3 = WriteFileAtomic(trace_out_dir + "/slo_report.json",
-                                  artifacts.slo_json);
-      if (!h1.ok() || !h2.ok() || !h3.ok()) {
-        std::fprintf(stderr, "history artifacts: %s / %s / %s\n",
-                     h1.ToString().c_str(), h2.ToString().c_str(),
-                     h3.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "history: %zu-byte ring -> %s/metrics_history.bin, "
-                   "slo report -> %s/slo_report.json\n",
-                   artifacts.history_bin.size(), trace_out_dir.c_str(),
-                   trace_out_dir.c_str());
-    }
   }
   std::string cleanup = std::string("rm -rf '") + base + "'";
   (void)std::system(cleanup.c_str());

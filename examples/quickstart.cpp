@@ -35,12 +35,6 @@ int main(int argc, char** argv) {
   opts.protection.scheme = ProtectionScheme::kReadLog;
   opts.protection.region_size = 512;
 
-  // Record a metrics-history ring and evaluate the default SLOs while we
-  // run; both persist on Close so `cwdb_ctl top` and `cwdb_ctl scrub-map`
-  // work against the directory afterwards.
-  opts.history.interval_ms = 100;
-  opts.slo.enabled = true;
-
   auto db = Database::Open(opts);
   if (!db.ok()) {
     std::fprintf(stderr, "open: %s\n", db.status().ToString().c_str());

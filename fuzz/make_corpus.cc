@@ -6,16 +6,17 @@
 //   make_corpus <repo-root>
 //
 // writes fuzz/corpus/parity_sidecar/seed-valid and
-// fuzz/corpus/history_load/seed-valid under <repo-root>.
+// fuzz/corpus/blackbox_decode/seed-valid under <repo-root>.
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/file_util.h"
-#include "obs/history.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "protect/parity_repair.h"
 
@@ -46,26 +47,41 @@ int Run(const std::string& root) {
     return 1;
   }
 
-  // Metrics-history ring: a few samples of a registry with every metric
-  // kind present, saved through the real delta/CRC codec.
-  MetricsRegistry metrics;
-  Counter* commits = metrics.counter("txn.commits");
-  Gauge* active = metrics.gauge("txn.active");
-  Histogram* latency = metrics.histogram("txn.commit_latency_ns");
-  HistoryOptions opts;
-  opts.retention = 16;
-  MetricsHistory history(&metrics, opts);
-  for (int i = 0; i < 8; ++i) {
-    commits->Add(100 + i);
-    active->Set(i % 3);
-    latency->Record(1000u << i);
-    history.SampleNow();
-  }
-  const std::string path = root + "/fuzz/corpus/history_load/seed-valid";
-  s = history.SaveTo(path);
-  if (!s.ok()) {
-    std::fprintf(stderr, "history seed: %s\n", s.ToString().c_str());
+  // Black box: written in place through a real recorder's mapping, as a
+  // live database writes it — trace events in the ring that lives in the
+  // box, a status text, and a metrics sample with every metric kind. Left
+  // without the clean-shutdown mark, like the box of a process that died.
+  FlightRecorderInfo info;
+  info.arena_size = 1 << 20;
+  info.page_size = 8192;
+  info.shard_count = 2;
+  info.scheme = "Data CW";
+  info.boot_mono_ns = NowNs();
+  info.boot_wall_ns = WallNowNs();
+  const std::string box_dir = root + "/fuzz/corpus/blackbox_decode";
+  (void)MakeDirs(box_dir);  // A failure surfaces as Create's open error.
+  Result<std::unique_ptr<FlightRecorder>> box =
+      FlightRecorder::Create(box_dir + "/seed-valid", info);
+  if (!box.ok()) {
+    std::fprintf(stderr, "blackbox seed: %s\n",
+                 box.status().ToString().c_str());
     return 1;
+  }
+  {
+    // Scoped so the registry, whose event ring lives in the box, dies
+    // before the box is unmapped.
+    MetricsRegistry metrics;
+    metrics.trace().MoveTo((*box)->trace_section());
+    metrics.trace().Record(TraceEventType::kAuditPassBegin, 100);
+    metrics.trace().Record(TraceEventType::kGroupCommitFlush, 4096, 512, 0, 1);
+    metrics.trace().Record(TraceEventType::kCorruptionDetected, 4100, 8192, 64);
+    metrics.counter("txn.commits")->Add(42);
+    metrics.gauge("txn.active")->Set(3);
+    metrics.histogram("txn.commit_latency_ns")->Record(250000);
+    (*box)->NoteStatusText(blackbox::StatusSlot::kWatchdog,
+                           "wal.drainer stalled 2500ms");
+    (*box)->NoteDurableLsn(4096, 4160);
+    (*box)->WriteMetricsSample(metrics.Capture());
   }
   std::printf("corpora written under %s/fuzz/corpus\n", root.c_str());
   return 0;

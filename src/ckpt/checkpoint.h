@@ -48,14 +48,6 @@ struct DbFiles {
   /// Span dump written by Database::DumpMetrics / Close when tracing is
   /// enabled; `cwdb_ctl trace-export` / `spans` read it back.
   std::string SpansFile() const { return dir_ + "/spans.json"; }
-  /// Delta-encoded metrics time-series ring persisted on flush/Close and
-  /// reloaded on reopen; `cwdb_ctl top` reads it cold.
-  std::string MetricsHistoryFile() const {
-    return dir_ + "/metrics_history.bin";
-  }
-  /// SLO engine report (per-objective burn rates, budget remaining),
-  /// written next to metrics.json; gated by scripts/check_slo_report.py.
-  std::string SloReportFile() const { return dir_ + "/slo_report.json"; }
   /// Crash-surviving flight-recorder mapping for the live incarnation.
   std::string BlackBox() const { return dir_ + "/blackbox.bin"; }
   /// Prior incarnation's box, rotated aside at reopen after an unclean

@@ -63,8 +63,8 @@ Database::~Database() {
 }
 
 void Database::StopBackgroundWork() {
-  // The ticker first: it calls into the SLO engine, scrub map and box, so
-  // nothing may tick once teardown proceeds past here.
+  // The ticker first: its flush reads the scrub map and writes the box, so
+  // nothing may flush once teardown proceeds past here.
   {
     std::lock_guard<std::mutex> guard(ticker_mu_);
     stop_ticker_ = true;
@@ -76,58 +76,26 @@ void Database::StopBackgroundWork() {
 }
 
 void Database::TickerLoop() {
-  using Clock = std::chrono::steady_clock;
-  const auto tick = std::chrono::milliseconds(options_.history.interval_ms);
   const auto flush =
       std::chrono::milliseconds(options_.metrics.flush_interval_ms);
-  // Sample at once, flush one interval in; a zero cadence never comes due.
-  Clock::time_point next_tick =
-      tick.count() > 0 ? Clock::now() : Clock::time_point::max();
-  Clock::time_point next_flush =
-      flush.count() > 0 ? Clock::now() + flush : Clock::time_point::max();
   std::unique_lock<std::mutex> lock(ticker_mu_);
-  while (!ticker_cv_.wait_until(lock, std::min(next_tick, next_flush),
-                                [this] { return stop_ticker_; })) {
+  while (!ticker_cv_.wait_for(lock, flush, [this] { return stop_ticker_; })) {
     lock.unlock();
-    if (Clock::now() >= next_tick) {
-      Tick();
-      next_tick = Clock::now() + tick;
-    }
-    if (Clock::now() >= next_flush) {
-      // A failed flush (full disk) only counts: the ticker must never take
-      // the database down.
-      metrics_
-          .counter(DumpMetrics().ok() ? "obs.metrics_flushes"
-                                      : "obs.metrics_flush_failures")
-          ->Add();
-      next_flush = Clock::now() + flush;
-    }
+    // A failed flush (full disk) only counts: the ticker must never take
+    // the database down.
+    metrics_
+        .counter(DumpMetrics().ok() ? "obs.metrics_flushes"
+                                    : "obs.metrics_flush_failures")
+        ->Add();
     lock.lock();
   }
 }
 
-void Database::Tick() {
-  history_->SampleNow();
-  const uint64_t now = history_->LatestMono();
-  scrub_->UpdateGauges(now);
-  // Process-level gauges ride the sampling cadence so /metrics and the
-  // history ring always carry fresh uptime/RSS/fd/disk numbers.
+MetricsSnapshot Database::CaptureMetrics() {
+  scrub_->UpdateGauges(NowNs());
   PublishProcessStats(
       &metrics_, SampleProcessStats(files_.dir(), metrics_.boot_mono_ns()));
-  if (slo_ != nullptr) slo_->EvaluateOnce(now);
-  if (flight_recorder_ != nullptr) {
-    // Last, so the box sees the refreshes above. Each is a seqlock'd
-    // in-place write into the mapping.
-    flight_recorder_->WriteMetricsSample(metrics_.Capture());
-    if (watchdog_ != nullptr) {
-      flight_recorder_->NoteStatusText(blackbox::StatusSlot::kWatchdog,
-                                       watchdog_->DegradedReason());
-    }
-    if (slo_ != nullptr) {
-      flight_recorder_->NoteStatusText(blackbox::StatusSlot::kSlo,
-                                       slo_->BurnReason());
-    }
-  }
+  return metrics_.Capture();
 }
 
 Status Database::OpenImpl() {
@@ -317,7 +285,7 @@ Status Database::OpenImpl() {
   if (options_.watchdog.enabled) {
     watchdog_ = std::make_unique<Watchdog>(
         &metrics_, forensics_.get(),
-        [this] { return log_->end_of_stable_log(); });
+        [this] { return log_->end_of_stable_log(); }, flight_recorder_.get());
     // Drainer: a requested flush whose stable frontier stops advancing.
     WatchdogProbe drainer;
     drainer.name = "wal.drainer";
@@ -355,24 +323,13 @@ Status Database::OpenImpl() {
     scrub_ = std::make_unique<ScrubMap>(&metrics_, shard_lens);
   }
 
-  // Metrics history: reload the previous incarnation's ring (tolerant of
-  // torn/truncated files — a bad tail just shortens the history).
-  history_ = std::make_unique<MetricsHistory>(&metrics_, options_.history);
-  CWDB_RETURN_IF_ERROR(history_->LoadFrom(files_.MetricsHistoryFile()));
-  if (options_.slo.enabled) {
-    slo_ = std::make_unique<SloEngine>(&metrics_, history_.get(),
-                                       scrub_.get(), forensics_.get(),
-                                       BuildDefaultSlos(options_.slo));
-    slo_->set_lsn_fn([this] { return log_->end_of_stable_log(); });
-  }
-  if (options_.history.interval_ms > 0 ||
-      options_.metrics.flush_interval_ms > 0) {
+  if (options_.metrics.flush_interval_ms > 0) {
     ticker_ = std::thread([this] { TickerLoop(); });
   }
   if (options_.serve_stats) {
     stats_server_ = std::make_unique<StatsServer>();
     StatsServer::Hooks hooks;
-    hooks.snapshot = [this] { return metrics_.Capture(); };
+    hooks.snapshot = [this] { return CaptureMetrics(); };
     hooks.incidents_jsonl = [this] {
       std::string body;
       if (!ReadFileToString(files_.IncidentsFile(), &body,
@@ -389,12 +346,6 @@ Status Database::OpenImpl() {
     hooks.degraded = [this] {
       return watchdog_ != nullptr ? watchdog_->DegradedReason()
                                   : std::string();
-    };
-    hooks.query = [this](std::string_view query) {
-      return history_->QueryJson(query);
-    };
-    hooks.slo = [this] {
-      return slo_ != nullptr ? slo_->BurnReason() : std::string();
     };
     CWDB_RETURN_IF_ERROR(
         stats_server_->Start(options_.stats_server, std::move(hooks)));
@@ -662,12 +613,7 @@ DatabaseStats Database::GetStats() const {
 
 Result<std::string> Database::DumpMetrics() {
   std::lock_guard<std::mutex> guard(flush_mu_);
-  // Refresh the process gauges so an explicit dump (and `cwdb_ctl stats`
-  // reading its output) carries current uptime/RSS/fd/disk numbers even
-  // when no history sampler is running.
-  PublishProcessStats(
-      &metrics_, SampleProcessStats(files_.dir(), metrics_.boot_mono_ns()));
-  MetricsSnapshot snap = metrics_.Capture();
+  MetricsSnapshot snap = CaptureMetrics();
   if (flight_recorder_ != nullptr) flight_recorder_->WriteMetricsSample(snap);
   std::string json = snap.ToJson();
   CWDB_RETURN_IF_ERROR(WriteFileAtomic(files_.MetricsFile(), json));
@@ -676,15 +622,6 @@ Result<std::string> Database::DumpMetrics() {
     // `spans` work on a closed database directory.
     CWDB_RETURN_IF_ERROR(WriteFileAtomic(
         files_.SpansFile(), SpansToJson(CaptureSpans(&metrics_))));
-  }
-  // The history ring and SLO report persist alongside so `cwdb_ctl top` /
-  // `scrub-map` work on a closed directory.
-  if (history_ != nullptr && history_->size() > 0) {
-    CWDB_RETURN_IF_ERROR(history_->SaveTo(files_.MetricsHistoryFile()));
-  }
-  if (slo_ != nullptr) {
-    CWDB_RETURN_IF_ERROR(
-        WriteFileAtomic(files_.SloReportFile(), slo_->ReportJson()));
   }
   return json;
 }

@@ -20,7 +20,6 @@
 #include "obs/history.h"
 #include "obs/postmortem.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/stats_server.h"
 #include "obs/watchdog.h"
 #include "protect/options.h"
@@ -81,17 +80,6 @@ struct DatabaseOptions {
   /// Periodic metrics flushing (see MetricsOptions).
   MetricsOptions metrics;
 
-  /// Metrics time-series history (src/obs/history.h): with a nonzero
-  /// interval the ticker thread samples the registry into an in-process
-  /// ring (Tick()), persisted to <dir>/metrics_history.bin on flush/Close
-  /// and reloaded on reopen — what `cwdb_ctl top` and GET /query serve.
-  HistoryOptions history;
-
-  /// Declarative SLO engine (src/obs/slo.h): when enabled, evaluates
-  /// multi-window burn rates on every history tick, files kSloBurn
-  /// dossiers and degrades /healthz to `503 slo: ...` while burning.
-  SloOptions slo;
-
   /// Span tracing (src/obs/tracer.h). Fraction of transactions whose whole
   /// commit pipeline — begin, lock waits, read prechecks, codeword folds,
   /// WAL staging, the cross-thread group-commit hop, fsync, ack — is
@@ -120,7 +108,7 @@ struct DatabaseOptions {
 
   /// Crash-surviving flight recorder (src/obs/flight_recorder.h): a
   /// mmap-backed black box at <dir>/blackbox.bin holding the event-trace
-  /// ring, LSN frontiers, armed crash points and watchdog/SLO state, plus
+  /// ring, LSN frontiers, armed crash points and watchdog state, plus
   /// an optional fatal-signal handler that appends a crash record. At
   /// reopen after an unclean death the box is rotated aside, a kCrash
   /// dossier is filed, and `cwdb_ctl postmortem` renders the episode.
@@ -346,17 +334,10 @@ class Database {
   /// Captures the full metrics snapshot (counters, gauges, histograms and
   /// the event trace), persists it as JSON to <dir>/metrics.json — which is
   /// what `cwdb_ctl stats <dir>` re-emits — and returns the same JSON.
-  /// Also writes spans.json (tracing on), metrics_history.bin and
-  /// slo_report.json. The ticker's periodic flush is this same call; one
+  /// Also rewrites the black box's metrics sample and, with tracing on,
+  /// writes spans.json. The ticker's periodic flush is this same call; one
   /// mutex serializes them, since every file is staged in `<file>.tmp`.
   Result<std::string> DumpMetrics();
-
-  /// Takes one metrics-history sample, then refreshes what rides on it:
-  /// the scrub-age gauge, the process gauges, the SLO verdicts and the
-  /// black box's metrics sample and status texts. The ticker calls this
-  /// every history.interval_ms; tests and benchmarks call it directly for
-  /// a deterministic history.
-  void Tick();
 
   /// The database-wide metrics registry. Every component of this database
   /// (txn manager, system log, protection, checkpointer, auditor) reports
@@ -376,13 +357,6 @@ class Database {
   /// live sweep cursor (always present; the background auditor and full
   /// audits publish into it).
   ScrubMap* scrub() { return scrub_.get(); }
-
-  /// Metrics time-series history (always present; the ticker samples it
-  /// only when options.history.interval_ms > 0).
-  MetricsHistory* history() { return history_.get(); }
-
-  /// SLO engine, or nullptr when options.slo.enabled is false.
-  SloEngine* slo() { return slo_.get(); }
 
   /// The crash-surviving black box, or nullptr when
   /// options.flight_recorder.enabled is false (or its mapping failed —
@@ -434,9 +408,12 @@ class Database {
   /// Joins the ticker and stops the watchdog and stats server
   /// (idempotent).
   void StopBackgroundWork();
-  /// The ticker thread: Tick() every history.interval_ms, DumpMetrics()
-  /// every metrics.flush_interval_ms (whichever are nonzero).
+  /// The ticker thread: DumpMetrics() every metrics.flush_interval_ms.
   void TickerLoop();
+  /// Refreshes the gauges derived at read time (scrub age, process
+  /// stats), then captures the registry: what DumpMetrics and GET /metrics
+  /// export.
+  MetricsSnapshot CaptureMetrics();
 
   DatabaseOptions options_;
   DbFiles files_;
@@ -461,15 +438,11 @@ class Database {
   std::unique_ptr<Checkpointer> checkpointer_;
   /// After the components it probes (destroyed first, so no probe callback
   /// can outlive its target); probes hold bare pointers into log_/
-  /// checkpointer_/txns_.
+  /// checkpointer_/txns_, and its poll thread writes into the box.
   std::unique_ptr<Watchdog> watchdog_;
-  /// Coverage map, history ring and SLO engine, in dependency order: the
-  /// SLO engine reads the history and scrub map, and Tick() calls into
-  /// all three — StopBackgroundWork joins the ticker before any is
-  /// destroyed.
+  /// Read by every metrics capture — StopBackgroundWork joins the ticker
+  /// and stops the stats server before it is destroyed.
   std::unique_ptr<ScrubMap> scrub_;
-  std::unique_ptr<MetricsHistory> history_;
-  std::unique_ptr<SloEngine> slo_;
   RecoveryReport last_report_;
 
   std::unique_ptr<StatsServer> stats_server_;

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 #include "common/crc32.h"
 
@@ -174,7 +175,6 @@ void FlightRecorder::NoteStatusText(blackbox::StatusSlot slot,
 }
 
 void FlightRecorder::WriteMetricsSample(const MetricsSnapshot& snap) noexcept {
-  std::lock_guard<std::mutex> guard(sample_mu_);
   std::atomic<uint32_t>* seq = Word32(kSampleOff + 0);
   const uint32_t s = seq->load(std::memory_order_relaxed);
   seq->store(s + 1, std::memory_order_release);

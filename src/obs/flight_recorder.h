@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -21,7 +20,7 @@ namespace cwdb {
 /// volatile diagnostic state a crash would otherwise destroy — the
 /// event-trace ring itself, the latest metrics sample, per-shard WAL
 /// staging frontiers and the durable LSN, the armed crash points, and the
-/// watchdog/SLO degradation strings. Because the mapping is shared, every
+/// watchdog's degradation string. Because the mapping is shared, every
 /// store lands in the page cache immediately; a process death at any
 /// instant (SIGKILL, _exit at a crash point, a wild store taking the
 /// process down) leaves the bytes for the kernel to write back. All
@@ -117,11 +116,11 @@ static_assert(EventTrace::kSlots == kTraceSlots &&
                   SeqRing<TraceSlot>::kSlotBytes == kTraceSlotBytes,
               "the event ring must fill the trace section exactly");
 
-/// Status-slot indices.
+/// Status-slot indices. Slot 2 is reserved and left zero: the section
+/// keeps three slots so the v1 offsets stay put.
 enum class StatusSlot : uint32_t {
   kArmedCrashpoints = 0,
   kWatchdog = 1,
-  kSlo = 2,
 };
 inline constexpr uint32_t kStatusSlots = 3;
 
@@ -183,13 +182,13 @@ class FlightRecorder {
   void NoteDurableLsn(uint64_t durable, uint64_t logical_end) noexcept;
 
   /// Replaces one seqlock'd status text (armed crash points, watchdog
-  /// degradation, SLO burn). Truncates to the slot size.
+  /// degradation). Truncates to the slot size. One writer per slot.
   void NoteStatusText(blackbox::StatusSlot slot,
                       std::string_view text) noexcept;
 
   /// Rewrites the latest-sample section (seqlock-framed name/value table)
-  /// from a registry snapshot. Called on the history tick cadence and on
-  /// DumpMetrics — not a hot path.
+  /// from a registry snapshot. One writer: Database::DumpMetrics, under
+  /// its flush mutex — not a hot path.
   void WriteMetricsSample(const MetricsSnapshot& snap) noexcept;
 
   /// Marks the box as cleanly shut down (Database::Close). A box without
@@ -245,10 +244,6 @@ class FlightRecorder {
   std::string path_;
   int fd_ = -1;
   uint8_t* map_ = nullptr;
-
-  /// Serializes whole-sample rewrites (history tick vs DumpMetrics); the
-  /// seqlock framing is for the crash-time reader, not these writers.
-  std::mutex sample_mu_;
 
   const uint8_t* arena_base_ = nullptr;
   uint64_t arena_size_ = 0;

@@ -57,7 +57,6 @@ const char* IncidentSourceName(IncidentSource s) {
     case IncidentSource::kCheckpointMeta: return "checkpoint_meta";
     case IncidentSource::kOperator: return "operator";
     case IncidentSource::kStallWatchdog: return "stall_watchdog";
-    case IncidentSource::kSloBurn: return "slo_burn";
     case IncidentSource::kRepair: return "repair";
     case IncidentSource::kCkptLoad: return "ckpt_load";
     case IncidentSource::kCrash: return "crash";

@@ -32,7 +32,6 @@ enum class IncidentSource : uint8_t {
   kCheckpointMeta = 5,  ///< Checkpoint meta/image unusable at recovery.
   kOperator = 6,        ///< Filed manually (cwdb_ctl / API).
   kStallWatchdog = 7,   ///< Watchdog: a pipeline stage stopped progressing.
-  kSloBurn = 8,         ///< SLO engine: an error budget is burning.
   kRepair = 9,          ///< Parity tier reconstructed region(s) in place.
   kCkptLoad = 10,       ///< Checkpoint-load sidecar verification mismatch.
   kCrash = 11,          ///< Prior incarnation died uncleanly (black box).

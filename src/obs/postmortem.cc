@@ -102,7 +102,6 @@ Result<BlackBoxReport> DecodeBlackBox(const std::string& bytes) {
   r.armed_crashpoints =
       ReadStatusSlot(bytes, StatusSlot::kArmedCrashpoints);
   r.watchdog_status = ReadStatusSlot(bytes, StatusSlot::kWatchdog);
-  r.slo_status = ReadStatusSlot(bytes, StatusSlot::kSlo);
 
   // The event ring, read through the ring itself from a word-aligned copy.
   std::vector<uint64_t> ring_words(kTraceSlots * kTraceSlotBytes / 8);
@@ -224,9 +223,6 @@ std::string RenderBlackBox(const BlackBoxReport& r) {
          "\n";
   if (!r.watchdog_status.empty()) {
     out += "watchdog: " + r.watchdog_status + "\n";
-  }
-  if (!r.slo_status.empty()) {
-    out += "slo: " + r.slo_status + "\n";
   }
 
   std::snprintf(line, sizeof(line), "trace tail: %zu event(s)\n",

@@ -55,7 +55,6 @@ struct BlackBoxReport {
   // Status text (dropped when its seqlock was torn at death).
   std::string armed_crashpoints;
   std::string watchdog_status;
-  std::string slo_status;
 
   // Mirrored trace-ring tail, consistent slots only, ascending seq.
   std::vector<TraceEvent> events;

@@ -203,13 +203,9 @@ void StatsServer::HandleConnection(int fd) {
   size_t sp = line.find(' ', 4);
   std::string path = line.substr(4, sp == std::string::npos ? std::string::npos
                                                             : sp - 4);
-  // Route on the path alone; the query string (if any) goes to the
-  // handler. GET /metrics?x=y must dispatch exactly like GET /metrics.
-  std::string query;
-  if (size_t q = path.find('?'); q != std::string::npos) {
-    query = path.substr(q + 1);
-    path.resize(q);
-  }
+  // Route on the path alone: GET /metrics?x=y must dispatch exactly like
+  // GET /metrics.
+  if (size_t q = path.find('?'); q != std::string::npos) path.resize(q);
 
   if (path == "/metrics") {
     SendResponse(fd, 200, "OK",
@@ -225,30 +221,14 @@ void StatsServer::HandleConnection(int fd) {
     std::string body = hooks_.spans_json ? hooks_.spans_json() : std::string();
     if (body.empty()) body = "{\"traceEvents\":[]}\n";
     SendResponse(fd, 200, "OK", "application/json", body);
-  } else if (path == "/query") {
-    if (!hooks_.query) {
-      SendResponse(fd, 404, "Not Found", "text/plain",
-                   "no metrics history wired\n");
-    } else {
-      Result<std::string> r = hooks_.query(query);
-      if (r.ok()) {
-        SendResponse(fd, 200, "OK", "application/json", *r);
-      } else {
-        SendResponse(fd, 400, "Bad Request", "text/plain",
-                     r.status().ToString() + "\n");
-      }
-    }
   } else if (path == "/healthz") {
     bool ok = hooks_.healthy ? hooks_.healthy() : true;
     std::string stalled = hooks_.degraded ? hooks_.degraded() : std::string();
-    std::string slo = hooks_.slo ? hooks_.slo() : std::string();
     if (!ok) {
       SendResponse(fd, 503, "Service Unavailable", "text/plain", "corrupt\n");
     } else if (!stalled.empty()) {
       SendResponse(fd, 503, "Service Unavailable", "text/plain",
                    "stalled: " + stalled + "\n");
-    } else if (!slo.empty()) {
-      SendResponse(fd, 503, "Service Unavailable", "text/plain", slo + "\n");
     } else {
       SendResponse(fd, 200, "OK", "text/plain", "ok\n");
     }

@@ -5,10 +5,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <thread>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 
@@ -35,15 +33,10 @@ struct StatsServerOptions {
 ///   GET /incidents  raw incidents.jsonl (application/jsonl)
 ///   GET /spans      Chrome/Perfetto trace-event JSON of the live span
 ///                   rings ({"traceEvents":[]} when tracing is off)
-///   GET /query?metric=<name>&window=<60s|500ms|5m>
-///                   time-series JSON from the metrics history (400 on a
-///                   malformed query or unknown metric; 404 with no
-///                   history wired)
-///   GET /healthz    200 "ok" / 503 "corrupt", "stalled: ..." or
-///                   "slo: ..." per the health/degraded/slo hooks
+///   GET /healthz    200 "ok" / 503 "corrupt" or "stalled: ..." per the
+///                   health/degraded hooks
 ///
-/// Query strings are split off before route dispatch (GET /metrics?x=y is
-/// still /metrics) and handed to the route handler.
+/// Query strings are ignored: GET /metrics?x=y is still /metrics.
 ///
 /// One connection is served at a time (close-after-response); this is an
 /// operator/scraper endpoint, not a data path. Stop() is prompt: the accept
@@ -59,13 +52,6 @@ class StatsServer {
     std::function<std::string()> spans_json;
     /// Stall description ("" = not degraded). Empty hook = no watchdog.
     std::function<std::string()> degraded;
-    /// Answers /query given the raw query string ("metric=...&window=...").
-    /// An error Status becomes a 400 with the message as the body. Empty
-    /// hook = no history wired; /query answers 404.
-    std::function<Result<std::string>(std::string_view query)> query;
-    /// SLO burn description ("slo: commit_p99 burn 8.1x", "" = budgets
-    /// healthy). Empty hook = no SLO engine.
-    std::function<std::string()> slo;
   };
 
   StatsServer() = default;

@@ -3,13 +3,16 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/flight_recorder.h"
+
 namespace cwdb {
 
 Watchdog::Watchdog(MetricsRegistry* metrics, ForensicsRecorder* forensics,
-                   std::function<uint64_t()> stable_lsn)
+                   std::function<uint64_t()> stable_lsn, FlightRecorder* box)
     : metrics_(metrics),
       forensics_(forensics),
       stable_lsn_(std::move(stable_lsn)),
+      box_(box),
       stalls_(metrics->counter("watchdog.stalls")),
       degraded_(metrics->gauge("watchdog.degraded")) {}
 
@@ -99,12 +102,21 @@ void Watchdog::PollOnce() {
     ++fired_count;
   }
   degraded_->Set(fired_count);
+  // Under mu_, so polls from the loop and from tests never interleave
+  // their writes to the slot's seqlock.
+  if (box_ != nullptr) {
+    box_->NoteStatusText(blackbox::StatusSlot::kWatchdog,
+                         DegradedReasonLocked(now));
+  }
 }
 
 std::string Watchdog::DegradedReason() const {
   std::lock_guard<std::mutex> guard(mu_);
+  return DegradedReasonLocked(NowNs());
+}
+
+std::string Watchdog::DegradedReasonLocked(uint64_t now) const {
   std::string out;
-  const uint64_t now = NowNs();
   for (const ProbeState& st : probes_) {
     if (!st.fired) continue;
     if (!out.empty()) out += ", ";

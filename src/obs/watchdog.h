@@ -15,6 +15,8 @@
 
 namespace cwdb {
 
+class FlightRecorder;
+
 /// Stall-watchdog configuration (DatabaseOptions::watchdog). Thresholds are
 /// generous by default: the watchdog exists to catch a *wedged* pipeline —
 /// a drainer that stopped advancing the stable LSN, an auditor whose cursor
@@ -51,13 +53,17 @@ struct WatchdogProbe {
 /// trace-ring tail like every other incident) and bumps watchdog.stalls;
 /// the probe then stays quiet until it makes progress again (or goes
 /// inactive), which re-arms it. DegradedReason() lists the currently
-/// stalled probes — the stats server's /healthz surfaces it.
+/// stalled probes — the stats server's /healthz surfaces it, and every
+/// poll writes it into the black box's watchdog slot.
 class Watchdog {
  public:
   /// `forensics` may be null (no dossiers, detection still works);
-  /// `stable_lsn` (may be empty) stamps dossiers with the log position.
+  /// `stable_lsn` (may be empty) stamps dossiers with the log position;
+  /// `box` (may be null) receives DegradedReason() after every poll. The
+  /// watchdog is that slot's only writer, and must die before the box.
   Watchdog(MetricsRegistry* metrics, ForensicsRecorder* forensics,
-           std::function<uint64_t()> stable_lsn = {});
+           std::function<uint64_t()> stable_lsn = {},
+           FlightRecorder* box = nullptr);
   ~Watchdog();
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -90,10 +96,12 @@ class Watchdog {
   };
 
   void Loop();
+  std::string DegradedReasonLocked(uint64_t now) const;
 
   MetricsRegistry* metrics_;
   ForensicsRecorder* forensics_;
   std::function<uint64_t()> stable_lsn_;
+  FlightRecorder* box_;
   Counter* stalls_;
   Gauge* degraded_;
 

@@ -5,9 +5,12 @@
 // regression test for the fault injector's ScopedTrap chaining (a scoped
 // trap must not eat the global fatal handler).
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -213,6 +216,47 @@ TEST(Postmortem, CleanCloseMarksTheBoxAndFilesNoDossier) {
   EXPECT_EQ((*db)->prior_blackbox(), nullptr);
   EXPECT_FALSE(FileExists(files.BlackBoxPrev()));
   ASSERT_OK((*db)->Close());
+}
+
+/// The box's metrics-sample value of counter `name`; nullopt when absent.
+std::optional<uint64_t> SampledCounter(const BlackBoxReport& box,
+                                       const std::string& name) {
+  for (const BlackBoxSampleEntry& e : box.sample) {
+    if (e.name == name && e.kind == 'c') return e.bits;
+  }
+  return std::nullopt;
+}
+
+TEST(Postmortem, MetricsSampleFollowsDumpsAndThePeriodicFlush) {
+  // An explicit dump rewrites the box's sample with the live counters.
+  {
+    TempDir dir;
+    DatabaseOptions opts = SmallDbOptions(dir.path(), ProtectionScheme::kNone);
+    Result<std::unique_ptr<Database>> db = Database::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    CommitOneTxn(db->get());
+    ASSERT_TRUE((*db)->DumpMetrics().ok());
+    Result<BlackBoxReport> box = ReadBlackBox(DbFiles(dir.path()).BlackBox());
+    ASSERT_TRUE(box.ok()) << box.status().ToString();
+    const uint64_t live = (*db)->metrics()->counter("txn.commits")->Value();
+    EXPECT_GT(live, 0u);
+    EXPECT_EQ(SampledCounter(*box, "txn.commits"), live);
+  }
+  // The periodic flush is the sample's only periodic writer: with no
+  // explicit call the sample still moves on.
+  TempDir dir;
+  DatabaseOptions opts = SmallDbOptions(dir.path(), ProtectionScheme::kNone);
+  opts.metrics.flush_interval_ms = 5;
+  Result<std::unique_ptr<Database>> db = Database::Open(opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::string path = DbFiles(dir.path()).BlackBox();
+  Result<BlackBoxReport> first = ReadBlackBox(path);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Result<BlackBoxReport> second = ReadBlackBox(path);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GT(second->sample_mono_ns, first->sample_mono_ns);
+  EXPECT_TRUE(SampledCounter(*second, "txn.commits").has_value());
 }
 
 TEST(Postmortem, GarbageBlackBoxIsToleratedAtOpen) {

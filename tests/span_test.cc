@@ -18,6 +18,7 @@
 #include "common/json.h"
 #include "core/database.h"
 #include "obs/forensics.h"
+#include "obs/postmortem.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
@@ -430,16 +431,26 @@ TEST(WatchdogTest, DatabaseWiredWatchdogSeesAStuckTransaction) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE((*db)->watchdog()->stalls(), 1u);
+  // DegradedReason takes the watchdog mutex, so the poll that fired has
+  // also written the box's watchdog slot by the time it returns.
   EXPECT_NE((*db)->watchdog()->DegradedReason().find("txn.oldest"),
             std::string::npos);
+  const std::string box_path = dir.path() + "/blackbox.bin";
+  Result<BlackBoxReport> box = ReadBlackBox(box_path);
+  ASSERT_TRUE(box.ok()) << box.status().ToString();
+  EXPECT_NE(box->watchdog_status.find("txn.oldest"), std::string::npos)
+      << "box watchdog slot: '" << box->watchdog_status << "'";
 
-  // Retiring the transaction restores health.
+  // Retiring the transaction restores health, in the box too.
   ASSERT_OK((*db)->Commit(*txn));
   for (int i = 0; i < 400 && !(*db)->watchdog()->DegradedReason().empty();
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_TRUE((*db)->watchdog()->DegradedReason().empty());
+  box = ReadBlackBox(box_path);
+  ASSERT_TRUE(box.ok()) << box.status().ToString();
+  EXPECT_EQ(box->watchdog_status, "");
   // The stall left a dossier behind.
   size_t skipped = 0;
   auto incidents = LoadIncidentFile(dir.path() + "/incidents.jsonl", &skipped);

@@ -1,21 +1,27 @@
 // Stats-endpoint tests: the Prometheus rendering must be valid text
 // exposition format 0.0.4 (one HELP + one TYPE per series, no duplicate
 // series, counters suffixed _total), and the live server must answer
-// /metrics, /incidents and /healthz correctly — on 127.0.0.1 only.
+// /metrics, /incidents and /healthz correctly — on 127.0.0.1 only — with
+// the read-time gauges (scrub age, process stats) fresh on every scrape.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.h"
+#include "common/file_util.h"
+#include "common/json.h"
 #include "faultinject/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/stats_server.h"
@@ -60,6 +66,19 @@ std::string HttpGet(uint16_t port, const std::string& path,
 std::string BodyOf(const std::string& resp) {
   size_t pos = resp.find("\r\n\r\n");
   return pos == std::string::npos ? "" : resp.substr(pos + 4);
+}
+
+/// Value of the unlabelled sample `name` in an exposition body; -1 when
+/// the sample is absent.
+int64_t SampleValue(const std::string& text, const std::string& name) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, name.size() + 1, name + " ") == 0) {
+      return std::stoll(line.substr(name.size() + 1));
+    }
+  }
+  return -1;
 }
 
 /// Validates exposition-format structure: every sample's metric family has
@@ -188,51 +207,28 @@ TEST(StatsServer, ServesMetricsIncidentsAndHealth) {
   EXPECT_TRUE(HttpGet(port, "/metrics").empty());
 }
 
-TEST(StatsServer, QueryRouteAndSloHealth) {
+TEST(StatsServer, StalledHealthTogglesWithTheDegradedHook) {
   MetricsRegistry reg;
-  std::string slo_reason;
+  std::string stalled;
   StatsServer server;
   StatsServer::Hooks hooks;
   hooks.snapshot = [&reg] { return reg.Capture(); };
   hooks.healthy = [] { return true; };
-  hooks.query = [](std::string_view query) -> Result<std::string> {
-    if (query == "metric=ok") return std::string("{\"metric\": \"ok\"}\n");
-    return Status::InvalidArgument("unknown metric");
-  };
-  hooks.slo = [&slo_reason] { return slo_reason; };
+  hooks.degraded = [&stalled] { return stalled; };
   ASSERT_OK(server.Start(StatsServerOptions{}, std::move(hooks)));
 
-  // /query hands the query string to the hook: 200 on success, 400 with
-  // the status text on a bad query.
-  std::string resp = HttpGet(server.port(), "/query?metric=ok");
-  EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(resp.find("application/json"), std::string::npos);
-  EXPECT_EQ(BodyOf(resp), "{\"metric\": \"ok\"}\n");
-  resp = HttpGet(server.port(), "/query?metric=bogus");
-  EXPECT_NE(resp.find("HTTP/1.0 400"), std::string::npos);
-  EXPECT_NE(resp.find("unknown metric"), std::string::npos);
-
-  // /healthz degrades to 503 while the slo hook reports a burn, and
+  // /healthz degrades to 503 while the degraded hook reports a stall, and
   // recovers with it.
-  resp = HttpGet(server.port(), "/healthz");
+  std::string resp = HttpGet(server.port(), "/healthz");
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
-  slo_reason = "slo: commit_p99 burn 8.1x";
+  stalled = "wal.drainer stalled 2500ms";
   resp = HttpGet(server.port(), "/healthz");
   EXPECT_NE(resp.find("HTTP/1.0 503"), std::string::npos);
-  EXPECT_EQ(BodyOf(resp), "slo: commit_p99 burn 8.1x\n");
-  slo_reason.clear();
+  EXPECT_EQ(BodyOf(resp), "stalled: wal.drainer stalled 2500ms\n");
+  stalled.clear();
   resp = HttpGet(server.port(), "/healthz");
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
-}
-
-TEST(StatsServer, QueryWithoutHistoryIs404) {
-  MetricsRegistry reg;
-  StatsServer server;
-  StatsServer::Hooks hooks;
-  hooks.snapshot = [&reg] { return reg.Capture(); };
-  ASSERT_OK(server.Start(StatsServerOptions{}, std::move(hooks)));
-  std::string resp = HttpGet(server.port(), "/query?metric=x");
-  EXPECT_NE(resp.find("HTTP/1.0 404"), std::string::npos);
+  EXPECT_EQ(BodyOf(resp), "ok\n");
 }
 
 TEST(StatsServer, DatabaseIntegration) {
@@ -259,15 +255,29 @@ TEST(StatsServer, DatabaseIntegration) {
                          std::to_string(commits) + "\n"),
             std::string::npos);
 
-  // GET /query serves time series out of the database's history ring.
-  (*db)->Tick();
-  (*db)->Tick();
-  std::string q =
-      HttpGet((*db)->stats_port(), "/query?metric=txn.commits&window=60s");
-  EXPECT_NE(q.find("HTTP/1.0 200 OK"), std::string::npos) << q;
-  EXPECT_NE(q.find("\"rate_per_s\""), std::string::npos);
-  q = HttpGet((*db)->stats_port(), "/query?metric=no.such&window=60s");
-  EXPECT_NE(q.find("HTTP/1.0 400"), std::string::npos);
+  // Gauges derived at read time are fresh on every scrape with no ticker
+  // running: the scrub age of a never-audited database grows from open,
+  // and the process gauges are present.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::string first = BodyOf(HttpGet((*db)->stats_port(), "/metrics"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  std::string second = BodyOf(HttpGet((*db)->stats_port(), "/metrics"));
+  const int64_t age1 = SampleValue(first, "cwdb_scrub_max_age_ms");
+  EXPECT_GT(age1, 0);
+  EXPECT_GT(SampleValue(second, "cwdb_scrub_max_age_ms"), age1);
+  EXPECT_GE(SampleValue(first, "cwdb_process_uptime_ms"), 0);
+  EXPECT_GE(SampleValue(second, "cwdb_process_uptime_ms"), 0);
+  // And so is the metrics.json an explicit dump writes.
+  ASSERT_TRUE((*db)->DumpMetrics().ok());
+  std::string json;
+  ASSERT_OK(ReadFileToString(DbFiles(dir.path()).MetricsFile(), &json));
+  Result<JsonValue> doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* gauges = doc->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const JsonValue* age = gauges->Find("scrub.max_age_ms");
+  ASSERT_NE(age, nullptr);
+  EXPECT_GT(age->AsI64(), 0);
 
   // A healthy database reports ok; after a failed audit writes the
   // corruption note it must report corrupt.

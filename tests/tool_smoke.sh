@@ -35,10 +35,7 @@ trap 'rm -rf "$DIR"' EXIT
 "$CTL" trace "$DIR/db" | grep -q "checkpoint"
 "$CTL" trace "$DIR/db" | grep -q "group_commit_flush"
 
-# top renders the metrics-history ring quickstart persisted on Close;
 # scrub-map renders audit staleness from the same snapshot's gauges.
-"$CTL" top "$DIR/db" --once | grep -q "cwdb top"
-"$CTL" top "$DIR/db" --once | grep -q "commit rate"
 "$CTL" scrub-map "$DIR/db" | grep -q "shard"
 
 # A clean database has no dossiers and a cleanly-marked black box.

@@ -39,13 +39,6 @@
 //   cwdb_ctl explain-recovery <dir> [--dot]
 //                                        per-deleted-txn implication chains
 //                                        from the last corruption recovery
-//   cwdb_ctl top <dir> [--once] [--interval-ms N]
-//                                        live-refreshing terminal view of
-//                                        the persisted metrics history:
-//                                        commit rate, windowed p99, scrub
-//                                        age, SLO budget, sparklines.
-//                                        --once renders a single snapshot
-//                                        (for scripts/CI)
 //   cwdb_ctl scrub-map <dir>             per-shard audit-staleness heatmap
 //                                        from the persisted scrub.* gauges
 //   cwdb_ctl postmortem <dir>            render the flight recorder's black
@@ -65,7 +58,6 @@
 #include <unistd.h>
 
 #include <array>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -75,7 +67,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "ckpt/att_codec.h"
@@ -101,7 +92,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: cwdb_ctl <info|tables|check|logdump|recover|stats|"
                "trace|trace-export|spans|incidents|repairs|explain-recovery|"
-               "top|scrub-map|postmortem> <dir> [args]\n");
+               "scrub-map|postmortem> <dir> [args]\n");
   return 2;
 }
 
@@ -865,37 +856,6 @@ int CmdExplainRecovery(const std::string& dir, bool dot) {
   return 0;
 }
 
-int CmdTop(const std::string& dir, bool once, uint64_t interval_ms) {
-  DbFiles files(dir);
-  for (;;) {
-    MetricsHistory history(nullptr, HistoryOptions{});
-    Status s = history.LoadFrom(files.MetricsHistoryFile());
-    if (!s.ok()) {
-      std::fprintf(stderr, "cannot read %s: %s\n",
-                   files.MetricsHistoryFile().c_str(), s.ToString().c_str());
-      return 1;
-    }
-    if (history.size() == 0) {
-      std::fprintf(stderr,
-                   "no metrics history at %s (open the database with "
-                   "history.interval_ms > 0 and flush or Close it)\n",
-                   files.MetricsHistoryFile().c_str());
-      return 1;
-    }
-    std::string view = history.RenderTop(history.LatestMono());
-    if (once) {
-      std::fwrite(view.data(), 1, view.size(), stdout);
-      return 0;
-    }
-    // Clear + home, then the frame: a plain-ANSI refresh loop, no curses.
-    std::printf("\x1b[2J\x1b[H%s\n(refreshing every %" PRIu64
-                " ms from %s — Ctrl-C to quit)\n",
-                view.c_str(), interval_ms, files.MetricsHistoryFile().c_str());
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-  }
-}
-
 int CmdScrubMap(const std::string& dir) {
   DbFiles files(dir);
   std::string json;
@@ -1016,21 +976,6 @@ int main(int argc, char** argv) {
   if (cmd == "explain-recovery") {
     bool dot = argc > 3 && std::strcmp(argv[3], "--dot") == 0;
     return CmdExplainRecovery(dir, dot);
-  }
-  if (cmd == "top") {
-    bool once = false;
-    uint64_t interval_ms = 1000;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--once") == 0) {
-        once = true;
-      } else if (std::strcmp(argv[i], "--interval-ms") == 0 && i + 1 < argc) {
-        interval_ms = std::strtoull(argv[++i], nullptr, 10);
-        if (interval_ms == 0) interval_ms = 1000;
-      } else {
-        return Usage();
-      }
-    }
-    return CmdTop(dir, once, interval_ms);
   }
   if (cmd == "scrub-map") return CmdScrubMap(dir);
   if (cmd == "postmortem") return CmdPostmortem(dir);
