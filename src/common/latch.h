@@ -1,13 +1,7 @@
 #ifndef CWDB_COMMON_LATCH_H_
 #define CWDB_COMMON_LATCH_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <shared_mutex>
-
-#include "common/logging.h"
 
 namespace cwdb {
 
@@ -53,37 +47,6 @@ class SharedGuard {
 
  private:
   Latch& latch_;
-};
-
-/// Fixed pool of latches indexed by hashing a key (paper, Sections 3.1/3.2:
-/// one protection latch per protection region). With 64-byte regions a
-/// per-region latch would dwarf the data, so regions share latches by
-/// striping; correctness only requires that a region maps to a stable
-/// stripe. Stripe count is a power of two.
-class StripedLatchTable {
- public:
-  explicit StripedLatchTable(size_t stripes = 1024)
-      : mask_(stripes - 1), latches_(new Latch[stripes]) {
-    CWDB_CHECK((stripes & mask_) == 0) << "stripe count must be a power of 2";
-  }
-
-  size_t stripe_count() const { return mask_ + 1; }
-
-  /// Stable stripe index for a region id.
-  size_t StripeOf(uint64_t region_id) const {
-    // Fibonacci hash spreads consecutive region ids across stripes.
-    return static_cast<size_t>((region_id * 0x9E3779B97F4A7C15ull) >> 32) &
-           mask_;
-  }
-
-  Latch& LatchFor(uint64_t region_id) {
-    return latches_[StripeOf(region_id)];
-  }
-  Latch& LatchAt(size_t stripe) { return latches_[stripe]; }
-
- private:
-  size_t mask_;
-  std::unique_ptr<Latch[]> latches_;
 };
 
 }  // namespace cwdb

@@ -27,7 +27,7 @@ namespace cwdb {
 /// shard_map), each round auditing one slice from every shard — fanned
 /// over a ThreadPool when `threads` > 1 — so detection latency shrinks
 /// with the shard count and each lane stays inside one shard's codeword
-/// table and latch stripes. A sweep completes when every shard's cursor
+/// table and gates. A sweep completes when every shard's cursor
 /// has wrapped; Audit_SN advancement, the one-callback-per-bad-round
 /// contract and ascending-range reports are unchanged.
 ///

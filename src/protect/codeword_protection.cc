@@ -7,29 +7,14 @@
 #include <cstring>
 #include <thread>
 
+#include "common/latch.h"
 #include "obs/forensics.h"
-
-// The optimistic (seqlock-validated) read path races plain image loads
-// against concurrent updaters by design; the epoch check discards every
-// torn result. ThreadSanitizer has no way to see that reasoning, so the
-// optimistic path is compiled out under TSan and prechecks always take the
-// protection latch there.
-#if defined(__SANITIZE_THREAD__)
-#define CWDB_TSAN_ENABLED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CWDB_TSAN_ENABLED 1
-#endif
-#endif
-#ifndef CWDB_TSAN_ENABLED
-#define CWDB_TSAN_ENABLED 0
-#endif
 
 namespace cwdb {
 
 namespace {
 
-/// Optimistic verify attempts before giving up and taking the latch.
+/// Optimistic verify attempts before giving up and blocking the gate.
 constexpr int kValidatedReadAttempts = 4;
 
 }  // namespace
@@ -38,18 +23,19 @@ CodewordProtection::CodewordProtection(const ProtectionOptions& options,
                                        DbImage* image,
                                        MetricsRegistry* metrics)
     : ProtectionManager(options, image, metrics),
-      exclusive_updates_(options.PrechecksReads()),
       region_shift_(std::countr_zero(options.region_size)),
+      group_regions_(options.parity_group_regions >= 2
+                         ? options.parity_group_regions
+                         : 64),
       shard_map_(image->size(), options.shards,
                  std::max<uint64_t>(options.shard_align, options.region_size)) {
   size_t n = shard_map_.shard_count();
-  stripes_per_shard_ =
-      std::bit_floor(std::max<size_t>(1, options.latch_stripes / n));
   shards_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    auto sh = std::make_unique<Shard>(shard_map_.ShardStart(s),
-                                      shard_map_.ShardLen(s),
-                                      options.region_size, stripes_per_shard_);
+    const uint64_t regions = shard_map_.ShardLen(s) >> region_shift_;
+    auto sh = std::make_unique<Shard>(
+        shard_map_.ShardStart(s), shard_map_.ShardLen(s), options.region_size,
+        (regions + group_regions_ - 1) / group_regions_);
     char name[48];
     std::snprintf(name, sizeof(name), "protect.shard%zu.updates", s);
     sh->updates = metrics_->counter(name);
@@ -111,34 +97,13 @@ ThreadPool* CodewordProtection::sweep_pool() {
   return sweep_pool_.get();
 }
 
-void CodewordProtection::StripesFor(DbPtr off, uint32_t len,
-                                    std::vector<size_t>* stripes) const {
-  uint64_t first = RegionOf(off);
-  uint64_t last = RegionOf(off + (len == 0 ? 0 : len - 1));
-  stripes->clear();
-  for (uint64_t r = first; r <= last; ++r) {
-    stripes->push_back(StripeOfRegion(r));
-  }
-  std::sort(stripes->begin(), stripes->end());
-  stripes->erase(std::unique(stripes->begin(), stripes->end()),
-                 stripes->end());
-}
-
 Status CodewordProtection::BeginUpdate(DbPtr off, uint32_t len,
                                        UpdateHandle* h) {
   h->off = off;
   h->len = len;
-  StripesFor(off, len, &h->stripes);
-  for (size_t s : h->stripes) {
-    if (exclusive_updates_) {
-      ProtectionLatchAt(s).LockExclusive();
-      // Odd epoch = update in flight: optimistic readers of this stripe
-      // back off or retry (the latch alone is invisible to them).
-      EpochAt(s).fetch_add(1, std::memory_order_release);
-    } else {
-      ProtectionLatchAt(s).LockShared();
-    }
-  }
+  ForEachGroup(off, len, [](const Group& g, DbPtr, uint32_t) {
+    g.gate->Join();
+  });
   ins_.updates->Add();
   shards_[shard_map_.ShardOf(off)]->updates->Add();
   return Status::OK();
@@ -147,94 +112,62 @@ Status CodewordProtection::BeginUpdate(DbPtr off, uint32_t len,
 void CodewordProtection::EndUpdate(const UpdateHandle& h,
                                    const uint8_t* before) {
   // Codeword maintenance from the undo image and the current bytes
-  // (paper §3.1). Under exclusive updates the protection latch already
-  // serializes us; otherwise take the codeword latches for the brief fold.
-  // Fold latency is sampled 1-in-64 so the clock reads stay off most
-  // updates (a fold of a few hundred bytes costs about as much as one
-  // clock call).
+  // (paper §3.1), one group at a time under its gate's fold bit. Fold
+  // latency is sampled 1-in-64 so the clock reads stay off most updates (a
+  // fold of a few hundred bytes costs about as much as one clock call).
   thread_local uint32_t fold_sample = 0;
   const bool timed = (fold_sample++ & 63) == 0;
   const uint64_t t0 = timed ? NowNs() : 0;
-  if (!exclusive_updates_) {
-    for (size_t s : h.stripes) CodewordLatchAt(s).LockExclusive();
-  }
-  // A physical update may cross a shard boundary (spans are page/region
-  // aligned, update ranges are not); fold each shard's slice into its own
-  // table.
-  DbPtr pos = h.off;
-  const uint8_t* undo = before;
-  uint32_t remaining = h.len;
-  while (remaining > 0) {
-    size_t s = shard_map_.ShardOf(pos);
-    uint64_t shard_end = shard_map_.ShardStart(s) + shard_map_.ShardLen(s);
-    uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(remaining, shard_end - pos));
-    shards_[s]->codewords.ApplyDelta(pos, undo, image_->At(pos), chunk);
+  ForEachGroup(h.off, h.len, [&](const Group& g, DbPtr pos, uint32_t chunk) {
+    const uint8_t* undo = before + (pos - h.off);
+    g.gate->TakeFold();
+    g.shard->codewords.ApplyDelta(pos, undo, image_->At(pos), chunk);
     // The same delta feeds the parity column — the write path's entire
     // cost for the error-correcting tier is this one extra fold.
     if (parity_ != nullptr) {
       parity_->ApplyDelta(pos, undo, image_->At(pos), chunk);
     }
-    pos += chunk;
-    undo += chunk;
-    remaining -= chunk;
-  }
+    g.gate->Leave();
+  });
   ins_.codeword_folds->Add();
   if (timed) ins_.fold_latency_ns->Record(NowNs() - t0);
-  if (!exclusive_updates_) {
-    for (auto it = h.stripes.rbegin(); it != h.stripes.rend(); ++it) {
-      CodewordLatchAt(*it).UnlockExclusive();
-    }
-  }
-  for (auto it = h.stripes.rbegin(); it != h.stripes.rend(); ++it) {
-    if (exclusive_updates_) {
-      // Even epoch again — bytes and codeword are consistent from here on.
-      EpochAt(*it).fetch_add(1, std::memory_order_release);
-      ProtectionLatchAt(*it).UnlockExclusive();
-    } else {
-      ProtectionLatchAt(*it).UnlockShared();
-    }
-  }
 }
 
 void CodewordProtection::AbortUpdate(const UpdateHandle& h) {
   // The caller restored the undo image; the codeword still describes that
-  // image (it is only advanced at EndUpdate), so just release latches.
-  for (auto it = h.stripes.rbegin(); it != h.stripes.rend(); ++it) {
-    if (exclusive_updates_) {
-      EpochAt(*it).fetch_add(1, std::memory_order_release);
-      ProtectionLatchAt(*it).UnlockExclusive();
-    } else {
-      ProtectionLatchAt(*it).UnlockShared();
-    }
-  }
+  // image (it is only advanced at EndUpdate), so leave without folding.
+  ForEachGroup(h.off, h.len, [](const Group& g, DbPtr, uint32_t) {
+    g.gate->TakeFold();
+    g.gate->Leave();
+  });
 }
 
-bool CodewordProtection::RegionCleanForRead(uint64_t region) {
-  size_t stripe = StripeOfRegion(region);
+bool CodewordProtection::RegionCleanForRead(uint64_t region,
+                                            PrecheckTally* tally) {
+  RegionGate& gate = *GroupOf(region).gate;
 #if !CWDB_TSAN_ENABLED
-  // Optimistic path: verify against the codeword with no latch, accept the
-  // verdict only if the stripe's epoch was even (no updater) and unchanged
-  // across the whole verify. A torn read can produce a bogus verdict, but
-  // the epoch check then rejects it, so correctness never depends on the
-  // racy loads.
-  std::atomic<uint64_t>& epoch = EpochAt(stripe);
+  // Optimistic path: verify against the codeword without blocking, accept
+  // the verdict only if the gate was quiet (no writer, no holder) and
+  // unchanged across the whole verify. A torn read can produce a bogus
+  // verdict, but the re-check then rejects it, so correctness never
+  // depends on the racy loads.
   for (int attempt = 0; attempt < kValidatedReadAttempts; ++attempt) {
-    uint64_t e1 = epoch.load(std::memory_order_acquire);
-    if ((e1 & 1) == 0) {
+    const uint64_t snap = gate.Snapshot();
+    if (RegionGate::Quiet(snap)) {
       bool ok = VerifyRegion(region);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (epoch.load(std::memory_order_relaxed) == e1) {
-        validated_reads_->Add();
+      if (gate.Validate(snap)) {
+        ++tally->validated;
         return ok;
       }
     }
     std::this_thread::yield();
   }
-  validated_fallbacks_->Add();
 #endif
-  ExclusiveGuard guard(ProtectionLatchAt(stripe));
-  return VerifyRegion(region);
+  ++tally->fallbacks;
+  gate.Block();
+  bool ok = VerifyRegion(region);
+  gate.Unblock();
+  return ok;
 }
 
 Status CodewordProtection::PrecheckRead(DbPtr off, uint32_t len) {
@@ -244,16 +177,17 @@ Status CodewordProtection::PrecheckRead(DbPtr off, uint32_t len) {
   thread_local uint32_t precheck_sample = 0;
   const bool timed = (precheck_sample++ & 63) == 0;
   const uint64_t t0 = timed ? NowNs() : 0;
-  for (uint64_t r = first; r <= last; ++r) {
-    ins_.prechecks->Add();
-    shards_[ShardOfRegion(r)]->prechecks->Add();
-    if (RegionCleanForRead(r)) continue;
+  PrecheckTally tally;
+  Status status;
+  uint64_t r = first;
+  for (; r <= last && status.ok(); ++r) {
+    if (RegionCleanForRead(r, &tally)) continue;
     // Read-time detection (§3.1). Stamp the detection for latency
     // accounting and the flight recorder, then try to make the read
     // succeed anyway: reconstruct the region from its parity group and
     // re-verify. The dossier pair (detection + kRepair) is filed by
-    // RepairWithForensics after the latches are released — the dossier's
-    // codeword probe re-takes the failing region's latch.
+    // RepairWithForensics while this call holds no gate — the dossier's
+    // codeword probe blocks the failing region's gate.
     metrics_->NoteDetection(off, len);
     metrics_->trace().Record(TraceEventType::kPrecheckFailed, 0, off, len,
                              ShardOfRegion(r));
@@ -267,26 +201,39 @@ Status CodewordProtection::PrecheckRead(DbPtr off, uint32_t len) {
     if (RepairWithForensics(IncidentSource::kReadPrecheck, /*lsn=*/0,
                             /*last_clean_audit_lsn=*/0, ranges, detail,
                             nullptr) &&
-        RegionCleanForRead(r)) {
+        RegionCleanForRead(r, &tally)) {
       continue;  // Repaired in place: the read proceeds transparently.
     }
     // Beyond the correction budget: the read is refused before corrupt
     // data can reach the transaction.
     ins_.precheck_failures->Add();
-    if (timed) ins_.precheck_latency_ns->Record(NowNs() - t0);
-    return Status::Corruption("read precheck failed: codeword mismatch");
+    status = Status::Corruption("read precheck failed: codeword mismatch");
   }
+  // One add per counter per call, with this call's tally.
+  const uint64_t checked = r - first;
+  ins_.prechecks->Add(checked);
+  const size_t shard = ShardOfRegion(first);
+  if (shard == ShardOfRegion(r - 1)) {
+    shards_[shard]->prechecks->Add(checked);
+  } else {
+    for (uint64_t q = first; q < r; ++q) {
+      shards_[ShardOfRegion(q)]->prechecks->Add();
+    }
+  }
+  if (tally.validated != 0) validated_reads_->Add(tally.validated);
+  if (tally.fallbacks != 0) validated_fallbacks_->Add(tally.fallbacks);
   if (timed) ins_.precheck_latency_ns->Record(NowNs() - t0);
-  return Status::OK();
+  return status;
 }
 
 bool CodewordProtection::RegionCodewords(DbPtr off, codeword_t* stored,
                                          codeword_t* computed) {
-  uint64_t region = RegionOf(off);
-  ExclusiveGuard guard(ProtectionLatchAt(StripeOfRegion(region)));
-  const CodewordTable& table = TableForRegion(region);
-  *stored = table.Get(region);
-  *computed = table.ComputeFromImage(image_->base(), region);
+  const uint64_t region = RegionOf(off);
+  const Group g = GroupOf(region);
+  g.gate->Block();
+  *stored = g.shard->codewords.Get(region);
+  *computed = g.shard->codewords.ComputeFromImage(image_->base(), region);
+  g.gate->Unblock();
   return true;
 }
 
@@ -294,13 +241,16 @@ void CodewordProtection::AuditSpan(uint64_t first, uint64_t last,
                                    std::vector<CorruptRange>* corrupt,
                                    SweepCounts* counts) {
   for (uint64_t r = first; r <= last; ++r) {
-    // Exclusive protection latch per region: the paper's consistent
-    // (region, codeword) snapshot for the audit (§3.2). Holding at most
-    // one latch at a time keeps concurrent sweep lanes deadlock-free even
-    // when striping maps their regions onto the same latch.
-    ExclusiveGuard guard(ProtectionLatchAt(StripeOfRegion(r)));
+    // The region's gate blocked: the paper's consistent (region, codeword)
+    // snapshot for the audit (§3.2). Holding one gate at a time keeps
+    // concurrent sweep lanes deadlock-free even when their regions share a
+    // group.
+    RegionGate& gate = *GroupOf(r).gate;
+    gate.Block();
+    const bool ok = VerifyRegion(r);
+    gate.Unblock();
     ++counts->audited;
-    if (!VerifyRegion(r)) {
+    if (!ok) {
       ++counts->failures;
       corrupt->push_back(CorruptRange{RegionStart(r), options_.region_size});
     }
@@ -372,25 +322,22 @@ Status CodewordProtection::ResetFromImage() {
 
 Status CodewordProtection::RecomputeRegions(DbPtr off, uint64_t len) {
   if (len == 0) return Status::OK();
-  uint64_t first = RegionOf(off);
-  uint64_t last = RegionOf(off + len - 1);
-  for (uint64_t r = first; r <= last; ++r) {
-    size_t stripe = StripeOfRegion(r);
-    ExclusiveGuard guard(ProtectionLatchAt(stripe));
-    // Epoch bump: an optimistic reader must not validate against a
-    // codeword this repair is in the middle of rewriting.
-    if (exclusive_updates_) {
-      EpochAt(stripe).fetch_add(1, std::memory_order_release);
+  const uint64_t last = RegionOf(off + len - 1);
+  for (uint64_t r = RegionOf(off); r <= last;) {
+    const Group g = GroupOf(r);
+    const uint64_t stop = std::min(last, g.last_region);
+    g.gate->Block();
+    for (; r <= stop; ++r) {
+      g.shard->codewords.Set(
+          r, g.shard->codewords.ComputeFromImage(image_->base(), r));
     }
-    CodewordTable& table = TableForRegion(r);
-    table.Set(r, table.ComputeFromImage(image_->base(), r));
-    if (exclusive_updates_) {
-      EpochAt(stripe).fetch_add(1, std::memory_order_release);
+    // The parity column describes the same bytes the codewords do; an
+    // out-of-band image write (cache recovery) invalidates both.
+    if (parity_ != nullptr) {
+      parity_->RecomputeGroups(image_->base(), RegionStart(stop), 1);
     }
+    g.gate->Unblock();
   }
-  // The parity columns describe the same bytes the codewords do; an
-  // out-of-band image write (cache recovery) invalidates both.
-  if (parity_ != nullptr) parity_->RecomputeGroups(image_->base(), off, len);
   return Status::OK();
 }
 
@@ -398,14 +345,11 @@ bool CodewordProtection::RepairRegionInPlace(uint64_t region,
                                              codeword_t* delta) {
   std::vector<uint64_t> members;
   parity_->GroupMembers(region, &members);
-  // Every member's protection latch, exclusive, ascending global stripe
-  // order (the update path's own discipline, so this composes with it).
-  std::vector<size_t> stripes;
-  stripes.reserve(members.size());
-  for (uint64_t m : members) stripes.push_back(StripeOfRegion(m));
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-  for (size_t s : stripes) ProtectionLatchAt(s).LockExclusive();
+  // One gate guards the whole parity group: blocking it holds off every
+  // writer of a member region and every fold into the group's column, and
+  // fails every optimistic precheck that overlaps the repair.
+  const Group g = GroupOf(region);
+  g.gate->Block();
 
   bool ok = false;
   do {
@@ -429,7 +373,7 @@ bool CodewordProtection::RepairRegionInPlace(uint64_t region,
     if (others_bad != 0) break;  // >= 2 corrupt regions: budget exceeded.
     std::vector<uint8_t> recon(options_.region_size);
     parity_->ReconstructRegion(image_->base(), region, recon.data());
-    CodewordTable& table = TableForRegion(region);
+    const CodewordTable& table = g.shard->codewords;
     const codeword_t stored = table.Get(region);
     if (CodewordCompute(recon.data(), options_.region_size) != stored) {
       // The reconstruction fails the locator: the parity column itself is
@@ -438,17 +382,8 @@ bool CodewordProtection::RepairRegionInPlace(uint64_t region,
       break;
     }
     const codeword_t computed = table.ComputeFromImage(image_->base(), region);
-    const size_t stripe = StripeOfRegion(region);
-    if (exclusive_updates_) {
-      // Odd epoch while the bytes are in flux, exactly like an update
-      // window, so optimistic prechecks discard what they saw.
-      EpochAt(stripe).fetch_add(1, std::memory_order_release);
-    }
     std::memcpy(image_->base() + RegionStart(region), recon.data(),
                 options_.region_size);
-    if (exclusive_updates_) {
-      EpochAt(stripe).fetch_add(1, std::memory_order_release);
-    }
     // The stored codeword and the parity column both already describe the
     // restored bytes — neither needs a write. The image does: the repair
     // must reach the next checkpoint.
@@ -457,9 +392,7 @@ bool CodewordProtection::RepairRegionInPlace(uint64_t region,
     ok = true;
   } while (false);
 
-  for (auto it = stripes.rbegin(); it != stripes.rend(); ++it) {
-    ProtectionLatchAt(*it).UnlockExclusive();
-  }
+  g.gate->Unblock();
   return ok;
 }
 

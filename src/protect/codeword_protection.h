@@ -1,16 +1,16 @@
 #ifndef CWDB_PROTECT_CODEWORD_PROTECTION_H_
 #define CWDB_PROTECT_CODEWORD_PROTECTION_H_
 
-#include <atomic>
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "common/latch.h"
 #include "common/parallel.h"
 #include "protect/codeword_table.h"
 #include "protect/parity_repair.h"
 #include "protect/protection.h"
+#include "protect/region_gate.h"
 #include "storage/shard_map.h"
 
 namespace cwdb {
@@ -22,27 +22,21 @@ namespace cwdb {
 /// read logging — read logging itself is emitted by the transaction layer,
 /// which consults options().LogsReads()).
 ///
-/// Latching follows the paper:
-///  * Read Prechecking (§3.1): the protection latch is held *exclusively*
-///    for the whole BeginUpdate..EndUpdate window. Readers, however, do not
-///    take it on the happy path: each latch stripe carries a seqlock-style
-///    epoch (odd while an updater holds the stripe), and PrecheckRead
-///    verifies the region optimistically, accepting the result only when
-///    the epoch was even and unchanged across the verify. Contended or
-///    repeatedly-interrupted reads fall back to the exclusive latch.
-///  * Data Codeword and the read-logging variants (§3.2): updaters hold the
-///    protection latch in *shared* mode and serialize only the brief
-///    codeword adjustment on a separate codeword latch; the auditor takes
-///    the protection latch exclusively per region to obtain a consistent
-///    (region, codeword) snapshot.
+/// Latching follows the paper, with both latches of a parity group packed
+/// into one RegionGate word (protect/region_gate.h). All four schemes share
+/// one update path: updaters join the gates of the groups they touch
+/// (protection latch, shared) and fold under the gate's fold bit (codeword
+/// latch). Audits, precheck fallbacks, forensics probes, recomputes and
+/// repairs block one gate at a time (protection latch, exclusive) for a
+/// consistent (region, codeword) snapshot. Read prechecks (§3.1) verify
+/// optimistically against the gate word first and block only when the
+/// group stays busy.
 ///
 /// The arena is partitioned into shards (ShardMap): each shard owns its own
-/// codeword table, protection/codeword latch stripes, epochs and counters,
-/// so updates on different shards touch disjoint cache lines end to end.
-/// Region ids and latch-stripe indices stay *global* (stripe index =
-/// shard * stripes_per_shard + local stripe), so UpdateHandle and the
-/// ascending-order multi-stripe latch discipline are unchanged — ascending
-/// global stripe order is deadlock-free across shards too.
+/// codeword table, gates and counters, so updates on different shards touch
+/// disjoint cache lines end to end. Region ids stay *global*, and groups
+/// never cross a shard, so ascending address order is one total order over
+/// every gate in the engine.
 class CodewordProtection : public ProtectionManager {
  public:
   static Result<std::unique_ptr<ProtectionManager>> Create(
@@ -72,38 +66,30 @@ class CodewordProtection : public ProtectionManager {
   /// The error-correcting tier (null when parity_group_regions == 0 in the
   /// options).
   const ParityTier* parity() const { return parity_.get(); }
-  /// Reads that verified a region without touching a latch / that gave up
-  /// and took the latch (tests, bench).
-  uint64_t validated_reads() const { return validated_reads_->Value(); }
-  uint64_t validated_fallbacks() const {
-    return validated_fallbacks_->Value();
-  }
 
  private:
-  /// One shard's protection state. Padded so the hot latch/epoch state of
-  /// neighboring shards never shares a cache line.
+  /// One shard's protection state. Padded so neighboring shards never
+  /// share a cache line.
   struct alignas(64) Shard {
-    Shard(uint64_t base, uint64_t len, uint32_t region_size, size_t stripes)
-        : codewords(base, len, region_size),
-          protection(stripes),
-          codeword(stripes),
-          epochs(new std::atomic<uint64_t>[stripes]) {
-      for (size_t i = 0; i < stripes; ++i) epochs[i].store(0);
-    }
+    Shard(uint64_t base, uint64_t len, uint32_t region_size, uint64_t gates)
+        : codewords(base, len, region_size), gates(new RegionGate[gates]) {}
     CodewordTable codewords;
-    StripedLatchTable protection;
-    StripedLatchTable codeword;
-    /// Seqlock epochs, one per protection-latch stripe: odd while an
-    /// exclusive updater holds the stripe (Precheck scheme only).
-    std::unique_ptr<std::atomic<uint64_t>[]> epochs;
+    std::unique_ptr<RegionGate[]> gates;  ///< One per parity group.
     Counter* updates = nullptr;     ///< Per-shard update windows.
     Counter* prechecks = nullptr;   ///< Per-shard read prechecks.
+  };
+
+  /// A region's parity group: its shard, its gate and its last region.
+  struct Group {
+    Shard* shard;
+    RegionGate* gate;
+    uint64_t last_region;
   };
 
   CodewordProtection(const ProtectionOptions& options, DbImage* image,
                      MetricsRegistry* metrics = nullptr);
 
-  // -- Shard/stripe geometry. Region ids and stripe indices are global. --
+  // -- Shard/group geometry. Region ids are global. --
 
   uint64_t RegionOf(DbPtr off) const { return off >> region_shift_; }
   DbPtr RegionStart(uint64_t region) const {
@@ -112,42 +98,47 @@ class CodewordProtection : public ProtectionManager {
   size_t ShardOfRegion(uint64_t region) const {
     return shard_map_.ShardOf(RegionStart(region));
   }
-  /// Global stripe index of a region's protection/codeword/epoch slot.
-  size_t StripeOfRegion(uint64_t region) const {
-    size_t s = ShardOfRegion(region);
-    return s * stripes_per_shard_ + shards_[s]->protection.StripeOf(region);
-  }
-  Shard& ShardAt(size_t stripe) const {
-    return *shards_[stripe / stripes_per_shard_];
-  }
-  Latch& ProtectionLatchAt(size_t stripe) const {
-    return ShardAt(stripe).protection.LatchAt(stripe % stripes_per_shard_);
-  }
-  Latch& CodewordLatchAt(size_t stripe) const {
-    return ShardAt(stripe).codeword.LatchAt(stripe % stripes_per_shard_);
-  }
-  std::atomic<uint64_t>& EpochAt(size_t stripe) const {
-    return ShardAt(stripe).epochs[stripe % stripes_per_shard_];
-  }
   CodewordTable& TableForRegion(uint64_t region) const {
     return shards_[ShardOfRegion(region)]->codewords;
   }
+  Group GroupOf(uint64_t region) const {
+    Shard& sh = *shards_[ShardOfRegion(region)];
+    const uint64_t base = sh.codewords.base_region();
+    const uint64_t g = (region - base) / group_regions_;
+    const uint64_t end = std::min(base + (g + 1) * group_regions_,
+                                  base + sh.codewords.region_count());
+    return Group{&sh, &sh.gates[g], end - 1};
+  }
 
-  /// Fills *stripes with the ascending unique global latch stripes for the
-  /// regions covering [off, len). Reuses the vector's capacity — callers
-  /// keep a long-lived vector so the hot path does not allocate.
-  void StripesFor(DbPtr off, uint32_t len, std::vector<size_t>* stripes) const;
+  /// Calls fn(group, pos, chunk) for each group's slice of [off, off+len),
+  /// in ascending order — the order writers join gates in.
+  template <typename Fn>
+  void ForEachGroup(DbPtr off, uint32_t len, Fn&& fn) const {
+    const DbPtr end = off + len;
+    for (DbPtr pos = off; pos < end;) {
+      const Group group = GroupOf(RegionOf(pos));
+      const DbPtr stop = std::min(end, RegionStart(group.last_region + 1));
+      fn(group, pos, static_cast<uint32_t>(stop - pos));
+      pos = stop;
+    }
+  }
 
-  /// Audits one region, protection latch held by caller (or epoch-validated
-  /// by the caller on the optimistic read path).
+  /// Audits one region, its gate blocked by the caller (or validated by the
+  /// caller on the optimistic read path).
   bool VerifyRegion(uint64_t region) const {
     return TableForRegion(region).Verify(image_->base(), region);
   }
 
-  /// Read Precheck verification of one region: optimistic epoch-validated
-  /// verify first (a few attempts), exclusive-latch fallback. Returns true
-  /// if the region's codeword matches.
-  bool RegionCleanForRead(uint64_t region);
+  /// Per-call tallies of PrecheckRead, published once per call.
+  struct PrecheckTally {
+    uint64_t validated = 0;
+    uint64_t fallbacks = 0;
+  };
+
+  /// Read Precheck verification of one region: optimistic gate-validated
+  /// verify first (a few attempts), blocked-gate fallback. Returns true if
+  /// the region's codeword matches.
+  bool RegionCleanForRead(uint64_t region, PrecheckTally* tally);
 
   /// Per-lane tallies of a sweep span, merged into stats_ once per call so
   /// parallel lanes never race on the shared counters.
@@ -156,9 +147,9 @@ class CodewordProtection : public ProtectionManager {
     uint64_t failures = 0;
   };
 
-  /// Audits regions [first, last], taking each region's protection latch
-  /// exclusively. Appends failures to *corrupt (never null here) and
-  /// tallies into *counts; no shared state is touched.
+  /// Audits regions [first, last], blocking each region's gate in turn.
+  /// Appends failures to *corrupt (never null here) and tallies into
+  /// *counts; no shared state is touched.
   void AuditSpan(uint64_t first, uint64_t last,
                  std::vector<CorruptRange>* corrupt, SweepCounts* counts);
 
@@ -172,29 +163,29 @@ class CodewordProtection : public ProtectionManager {
   void RebuildAllShards();
 
   /// In-place reconstruction of one flagged region from its parity group.
-  /// Takes every member region's protection latch exclusively (ascending
-  /// global stripe order) — that alone excludes concurrent folds into the
-  /// group's column, so no group mutex is needed and the lock order stays
-  /// checkpoint latch -> protection latch -> {codeword latch, group mutex}.
-  /// On success *delta is the XOR of the region codeword computed from the
-  /// corrupt bytes and from the reconstruction. Caller must hold no
-  /// latches.
+  /// Blocks the group's one gate, which excludes every writer of a member
+  /// region and every fold into the group's column; the lock order stays
+  /// checkpoint latch -> one gate. On success *delta is the XOR of the
+  /// region codeword computed from the corrupt bytes and from the
+  /// reconstruction. Caller must hold no gate.
   bool RepairRegionInPlace(uint64_t region, codeword_t* delta);
 
   /// Sweep pool for RebuildAll / AuditAll partitions, created on first use
   /// (never created when options.sweep_threads == 1). Lanes only ever run
-  /// whole-region work under the region's own protection latch, so pool
-  /// parallelism composes with foreground updates exactly like the
-  /// sequential auditor does.
+  /// whole-region work under the region's own gate, so pool parallelism
+  /// composes with foreground updates exactly like the sequential auditor
+  /// does.
   ThreadPool* sweep_pool();
 
-  const bool exclusive_updates_;  ///< True for the Precheck scheme.
   const int region_shift_;
+  /// Regions per gate: the parity group, or a fixed 64 without the tier.
+  const uint32_t group_regions_;
   ShardMap shard_map_;
-  size_t stripes_per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ParityTier> parity_;  ///< Null when the tier is disabled.
 
+  /// Prechecks that verified a region without blocking its gate / that
+  /// blocked it.
   Counter* validated_reads_;
   Counter* validated_fallbacks_;
 

@@ -14,7 +14,7 @@ namespace cwdb {
 /// One codeword per protection region of a span of the database image. The
 /// table lives *outside* the protected arena, so a wild write into the
 /// database cannot silently fix up its own codeword. Synchronization is the
-/// caller's job (the ProtectionManager's protection / codeword latches).
+/// caller's job (the ProtectionManager's region gates).
 ///
 /// A table may cover the whole arena (base 0) or one shard's span of it.
 /// Region ids are always *global* — `RegionOf(off)` is the same number no

@@ -24,9 +24,9 @@ Status HardwareProtection::BeginUpdate(DbPtr off, uint32_t len,
   uint64_t first = off / page_bytes;
   uint64_t last = (off + (len == 0 ? 0 : len - 1)) / page_bytes;
   std::lock_guard<std::mutex> guard(mu_);
-  h->stripes.clear();
+  h->pages.clear();
   for (uint64_t p = first; p <= last; ++p) {
-    h->stripes.push_back(p);
+    h->pages.push_back(p);
     int& pins = exposed_[p];
     if (pins++ == 0) {
       CWDB_RETURN_IF_ERROR(
@@ -42,7 +42,7 @@ Status HardwareProtection::ReleasePages(const UpdateHandle& h) {
   if (!armed_) return Status::OK();
   const uint64_t page_bytes = Arena::OsPageSize();
   std::lock_guard<std::mutex> guard(mu_);
-  for (uint64_t p : h.stripes) {
+  for (uint64_t p : h.pages) {
     auto it = exposed_.find(p);
     CWDB_CHECK(it != exposed_.end()) << "unbalanced page exposure";
     if (--it->second == 0) {

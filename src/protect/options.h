@@ -42,13 +42,9 @@ struct ProtectionOptions {
   /// Table 2 uses 64, 512 and 8192.
   uint32_t region_size = 512;
 
-  /// Number of protection-latch (and codeword-latch) stripes, divided
-  /// evenly over the shards.
-  size_t latch_stripes = 1024;
-
   /// Number of protection shards. Each shard owns a contiguous span of the
-  /// arena with its own codeword table, latch stripes and read-validation
-  /// epochs, so transactions on disjoint shards share no protection state.
+  /// arena with its own codeword table and region gates, so transactions on
+  /// disjoint shards share no protection state.
   /// 1 = the pre-sharding layout.
   size_t shards = 1;
 
@@ -65,7 +61,8 @@ struct ProtectionOptions {
   /// delete-transaction recovery. 0 disables the tier. Space overhead is
   /// roughly region_size / (group * region_size) = 1/group of the arena
   /// (~1.6% at the default 64), plus one extra XOR fold per update.
-  /// Only meaningful for codeword schemes.
+  /// Only meaningful for codeword schemes. Each group also has one
+  /// RegionGate (a gate spans a fixed 64 regions when the tier is off).
   uint32_t parity_group_regions = 64;
 
   /// Worker lanes for the bulk codeword sweeps — full-image rebuilds

@@ -44,7 +44,6 @@ ParityTier::ParityTier(const ShardMap& shards, uint32_t region_size,
     sp.region_count = shard_map_.ShardLen(s) >> shift_;
     sp.group_count = (sp.region_count + group_regions_ - 1) / group_regions_;
     sp.columns.assign(sp.group_count * region_size_, 0);
-    sp.mus = std::make_unique<std::mutex[]>(sp.group_count);
   }
 }
 
@@ -56,9 +55,8 @@ uint64_t ParityTier::space_overhead_bytes() const {
 
 void ParityTier::ApplyDelta(DbPtr off, const uint8_t* before,
                             const uint8_t* after, uint32_t len) {
-  // Walk the range one region slice at a time; slices are ascending, so
-  // locking one group at a time (never two) keeps the fold deadlock-free
-  // against every other lock order in the engine.
+  // Walk the range one region slice at a time: each slice folds into its
+  // group's column at the slice's offset within the region.
   ShardParity& sp = shards_[shard_map_.ShardOf(off)];
   uint32_t done = 0;
   while (done < len) {
@@ -69,11 +67,8 @@ void ParityTier::ApplyDelta(DbPtr off, const uint8_t* before,
         std::min<uint64_t>(len - done, region_size_ - in_region));
     uint64_t group = (region - sp.base_region) / group_regions_;
     uint8_t* col = sp.columns.data() + group * region_size_ + in_region;
-    {
-      std::lock_guard<std::mutex> guard(sp.mus[group]);
-      for (uint32_t i = 0; i < chunk; ++i) {
-        col[i] ^= before[done + i] ^ after[done + i];
-      }
+    for (uint32_t i = 0; i < chunk; ++i) {
+      col[i] ^= before[done + i] ^ after[done + i];
     }
     done += chunk;
   }
@@ -93,12 +88,9 @@ void ParityTier::RecomputeGroups(const uint8_t* base, DbPtr off,
         std::min<uint64_t>(group_regions_, sp.region_count -
                                                group * group_regions_);
     uint8_t* col = sp.columns.data() + group * region_size_;
-    {
-      std::lock_guard<std::mutex> guard(sp.mus[group]);
-      std::memset(col, 0, region_size_);
-      for (uint64_t m = 0; m < members; ++m) {
-        XorInto(col, base + ((group_first + m) << shift_), region_size_);
-      }
+    std::memset(col, 0, region_size_);
+    for (uint64_t m = 0; m < members; ++m) {
+      XorInto(col, base + ((group_first + m) << shift_), region_size_);
     }
     r = group_first + members;  // Next group (possibly next shard).
   }

@@ -2,8 +2,6 @@
 #define CWDB_PROTECT_PARITY_REPAIR_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,11 +41,10 @@ namespace cwdb {
 /// so the class of software errors under study cannot silently patch the
 /// parity that would expose them.
 ///
-/// Synchronization: ApplyDelta serializes concurrent folds into one column
-/// with a per-group mutex (codeword latch stripes do not serialize
-/// different-stripe regions of the same group). Reconstruction call sites
-/// must hold every member region's protection latch exclusively — that
-/// excludes in-flight folds, so ReconstructRegion takes no locks itself.
+/// Synchronization is the caller's: one RegionGate guards each group
+/// (protect/region_gate.h). ApplyDelta runs under the gate's fold bit;
+/// RecomputeGroups and ReconstructRegion run with the gate blocked. The
+/// tier itself takes no locks.
 class ParityTier {
  public:
   ParityTier(const ShardMap& shards, uint32_t region_size,
@@ -59,14 +56,15 @@ class ParityTier {
 
   /// Folds an update of [off, off+len) (before -> after) into the covering
   /// columns. The range must not cross a shard boundary (the protection
-  /// manager's per-shard chunk loop guarantees this). Thread-safe.
+  /// manager's per-group chunk loop guarantees this). Caller holds the
+  /// fold bit of every covered group's gate.
   void ApplyDelta(DbPtr off, const uint8_t* before, const uint8_t* after,
                   uint32_t len);
 
   /// Recomputes every column of every group overlapping [off, off+len)
   /// from the image bytes (recovery writes / cache-recovery restores that
-  /// bypass the update interface). Call sites are quiesced; the group
-  /// mutexes are still taken for form's sake.
+  /// bypass the update interface). Caller has every covered group's gate
+  /// blocked, or the image quiesced.
   void RecomputeGroups(const uint8_t* base, DbPtr off, uint64_t len);
 
   /// Recomputes every column from the image (checkpoint load / recovery
@@ -77,8 +75,7 @@ class ParityTier {
   void GroupMembers(uint64_t region, std::vector<uint64_t>* members) const;
 
   /// Reconstructs `region`'s bytes into `out` (region_size bytes) assuming
-  /// only it is corrupt. Caller holds all member protection latches
-  /// exclusively (see class comment).
+  /// only it is corrupt. Caller has the group's gate blocked.
   void ReconstructRegion(const uint8_t* base, uint64_t region,
                          uint8_t* out) const;
 
@@ -92,7 +89,6 @@ class ParityTier {
     uint64_t region_count = 0;
     uint64_t group_count = 0;
     std::vector<uint8_t> columns;  ///< group_count * region_size bytes.
-    std::unique_ptr<std::mutex[]> mus;  ///< One per group.
   };
 
   size_t ShardOfRegion(uint64_t region) const {

@@ -27,14 +27,15 @@ enum class IncidentSource : uint8_t;
 ///
 /// Contract: at most one update handle may be outstanding per thread of
 /// control, and no PrecheckRead may be issued by a transaction between its
-/// own BeginUpdate and EndUpdate (the region latches are not reentrant).
+/// own BeginUpdate and EndUpdate (a precheck that blocks a gate the
+/// transaction has joined would wait for itself).
 class ProtectionManager {
  public:
   /// Opaque per-update state carried from BeginUpdate to EndUpdate.
   struct UpdateHandle {
     DbPtr off = 0;
     uint32_t len = 0;
-    std::vector<size_t> stripes;  ///< Held latch stripes, ascending.
+    std::vector<uint64_t> pages;  ///< Exposed pages (Memory Protection).
   };
 
   virtual ~ProtectionManager() = default;
@@ -65,7 +66,7 @@ class ProtectionManager {
   virtual void AbortUpdate(const UpdateHandle& h) = 0;
 
   /// Read Prechecking (§3.1): verifies every region covering [off,
-  /// off+len) against its codeword under an exclusive protection latch.
+  /// off+len) against its codeword with no update window open on it.
   /// Returns Corruption on mismatch. No-op for non-precheck schemes.
   virtual Status PrecheckRead(DbPtr off, uint32_t len) = 0;
 
@@ -114,9 +115,9 @@ class ProtectionManager {
   /// Forensics probe: for the protection region containing `off`, reports
   /// the stored codeword and the codeword recomputed from the current image
   /// bytes (their XOR is the corruption delta a dossier records). Returns
-  /// false for schemes that keep no codeword table. Takes the region's
-  /// protection latch exclusively (the auditor's consistent-snapshot
-  /// protocol); must not be called while holding it.
+  /// false for schemes that keep no codeword table. Blocks the region's
+  /// gate (the auditor's consistent-snapshot protocol); must not be called
+  /// from inside an update window on it.
   virtual bool RegionCodewords(DbPtr off, codeword_t* stored,
                                codeword_t* computed) {
     (void)off;

@@ -169,9 +169,10 @@ TEST_F(AuditorTest, CallbackDrivenRecoveryRoundTrip) {
 }
 
 TEST_F(AuditorTest, SweepsConcurrentWithUpdates) {
-  // The §3.2 concurrency design: updaters hold the protection latch shared
-  // and fold under the codeword latch; the auditor takes regions exclusive
-  // one at a time. Run both at once and require zero false positives.
+  // The §3.2 concurrency design: updaters join the region gate (protection
+  // latch, shared) and fold under its fold bit (codeword latch); the
+  // auditor blocks one gate at a time (protection latch, exclusive). Run
+  // both at once and require zero false positives.
   std::atomic<bool> corrupt{false};
   BackgroundAuditor auditor(db_.get(), FastOptions(),
                             [&](const AuditReport&) { corrupt = true; });
@@ -254,10 +255,9 @@ TEST_F(ParallelAuditorTest, DetectsInjectedCorruptionAcrossLanes) {
 }
 
 TEST_F(ParallelAuditorTest, ParallelSlicesStayCleanUnderUpdateLoad) {
-  // The §3.2 latch argument, now per sweep lane: updaters hold the
-  // protection latch shared, every lane audits one region at a time under
-  // the exclusive latch — concurrent prescribed updates must never turn
-  // into false alarms.
+  // The §3.2 latch argument, now per sweep lane: updaters join the region
+  // gate, every lane audits one region at a time with its gate blocked —
+  // concurrent prescribed updates must never turn into false alarms.
   std::atomic<bool> corrupt{false};
   BackgroundAuditor auditor(db_.get(), ParallelOptions(),
                             [&](const AuditReport&) { corrupt = true; });

@@ -360,30 +360,6 @@ TEST(Latch, SharedAllowsConcurrentReaders) {
   latch.UnlockExclusive();
 }
 
-TEST(StripedLatchTable, StableMapping) {
-  StripedLatchTable t(64);
-  for (uint64_t r = 0; r < 1000; ++r) {
-    EXPECT_EQ(t.StripeOf(r), t.StripeOf(r));
-    EXPECT_LT(t.StripeOf(r), 64u);
-  }
-}
-
-TEST(StripedLatchTable, ExclusionUnderContention) {
-  StripedLatchTable t(8);
-  int counter = 0;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&t, &counter] {
-      for (int j = 0; j < 1000; ++j) {
-        ExclusiveGuard guard(t.LatchFor(42));
-        ++counter;  // Protected by the stripe latch.
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 4000);
-}
-
 // ---------- Random ----------
 
 TEST(Random, DeterministicForSeed) {

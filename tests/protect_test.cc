@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "core/auditor.h"
 #include "core/database.h"
 #include "faultinject/fault_injector.h"
 #include "protect/codeword_protection.h"
@@ -64,6 +67,17 @@ struct SchemeCase {
   ProtectionScheme scheme;
   uint32_t region_size;
 };
+
+std::string SchemeCaseName(const ::testing::TestParamInfo<SchemeCase>& info) {
+  return std::string(info.param.scheme == ProtectionScheme::kDataCodeword
+                         ? "DataCW"
+                     : info.param.scheme == ProtectionScheme::kReadPrecheck
+                         ? "Precheck"
+                     : info.param.scheme == ProtectionScheme::kReadLog
+                         ? "ReadLog"
+                         : "CWReadLog") +
+         "_" + std::to_string(info.param.region_size);
+}
 
 class CodewordSchemeTest : public ::testing::TestWithParam<SchemeCase> {
  protected:
@@ -203,16 +217,138 @@ INSTANTIATE_TEST_SUITE_P(
                       SchemeCase{ProtectionScheme::kReadPrecheck, 512},
                       SchemeCase{ProtectionScheme::kReadLog, 512},
                       SchemeCase{ProtectionScheme::kCodewordReadLog, 512}),
-    [](const ::testing::TestParamInfo<SchemeCase>& info) {
-      return std::string(info.param.scheme == ProtectionScheme::kDataCodeword
-                             ? "DataCW"
-                         : info.param.scheme == ProtectionScheme::kReadPrecheck
-                             ? "Precheck"
-                         : info.param.scheme == ProtectionScheme::kReadLog
-                             ? "ReadLog"
-                             : "CWReadLog") +
-             "_" + std::to_string(info.param.region_size);
+    SchemeCaseName);
+
+// ---------- Concurrent folds ----------
+// Four writers update distinct 100-byte records packed so that neighbours
+// share regions and parity groups; a two-lane background auditor sweeps
+// meanwhile and, under Precheck, a fifth thread reads the same records.
+// Every verify must land outside every open update window: no audit
+// failure, no repair attempt (a false alarm would trigger one), no refused
+// read. Afterwards a lone wild write must still be repaired in place.
+
+class ConcurrentFoldsTest : public ::testing::TestWithParam<SchemeCase> {};
+
+TEST_P(ConcurrentFoldsTest, WritersAuditorAndReaderShareGroups) {
+  constexpr int kWriters = 4;
+  constexpr uint32_t kPerWriter = 16;
+  constexpr uint32_t kRecords = kWriters * kPerWriter;
+  constexpr uint32_t kRecordSize = 100;
+  constexpr int kRounds = 40;
+
+  TempDir dir;
+  DatabaseOptions opts =
+      SmallDbOptions(dir.path(), GetParam().scheme, GetParam().region_size);
+  opts.protection.sweep_threads = 2;
+  auto dbr = Database::Open(opts);
+  ASSERT_OK(dbr.status());
+  Database* db = dbr->get();
+  auto txn = db->Begin();
+  auto table = db->CreateTable(*txn, "t", kRecordSize, kRecords);
+  ASSERT_OK(table.status());
+  std::vector<std::string> expected(kRecords);
+  for (uint32_t i = 0; i < kRecords; ++i) {
+    expected[i] = std::string(kRecordSize, static_cast<char>('a' + i % 26));
+    ASSERT_OK(db->Insert(*txn, *table, expected[i]).status());
+  }
+  ASSERT_OK(db->Commit(*txn));
+
+  std::atomic<int> alarms{0};
+  BackgroundAuditor::Options ao;
+  ao.interval = std::chrono::milliseconds(1);
+  ao.slice_bytes = 256 << 10;
+  ao.threads = 2;
+  BackgroundAuditor auditor(db, ao, [&](const AuditReport&) { ++alarms; });
+  auditor.Start();
+
+  std::atomic<int> failed_updates{0};
+  std::atomic<bool> writers_done{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    // Writer w owns slots w, w + 4, ...: every neighbour belongs to
+    // another writer.
+    writers.emplace_back([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto t = db->Begin();
+        for (uint32_t k = 0; k < kPerWriter; ++k) {
+          const uint32_t slot = w + kWriters * k;
+          const uint32_t field = (round * 13 + k * 5) % (kRecordSize - 8);
+          char payload[8];
+          for (int b = 0; b < 8; ++b) {
+            payload[b] = static_cast<char>(0x21 + (round * 7 + k + b) % 90);
+          }
+          if (db->Update(*t, *table, slot, field, Slice(payload, 8)).ok()) {
+            expected[slot].replace(field, 8, payload, 8);
+          } else {
+            ++failed_updates;
+          }
+        }
+        if (!db->Commit(*t).ok()) ++failed_updates;
+      }
     });
+  }
+  std::atomic<int> refused{0};
+  std::thread reader;
+  if (GetParam().scheme == ProtectionScheme::kReadPrecheck) {
+    // One record per transaction: the reader never holds a lock while it
+    // waits for one, so it cannot deadlock with the writers.
+    reader = std::thread([&] {
+      for (uint32_t i = 0; !writers_done.load(); i = (i + 1) % kRecords) {
+        auto t = db->Begin();
+        std::string got;
+        if (db->Read(*t, *table, i, &got).IsCorruption()) ++refused;
+        (void)db->Commit(*t);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  writers_done = true;
+  if (reader.joinable()) reader.join();
+  auditor.WaitForFullSweep();
+
+  EXPECT_EQ(failed_updates.load(), 0);
+  EXPECT_EQ(alarms.load(), 0);
+  EXPECT_EQ(refused.load(), 0);
+  EXPECT_EQ(db->protection()->stats().audit_failures, 0u);
+  EXPECT_EQ(db->metrics()->counter("repair.attempts")->Value(), 0u);
+  auto report = db->Audit();
+  ASSERT_OK(report.status());
+  EXPECT_TRUE(report->clean);
+
+  // A lone wild write is still found by the sweep and repaired in place.
+  FaultInjector inject(db, 17);
+  ASSERT_TRUE(inject
+                  .WildWriteAt(db->image()->RecordOff(*table, 21) + 3,
+                               "wild@r1te")
+                  .changed_bits);
+  auditor.WaitForFullSweep();
+  auditor.WaitForFullSweep();
+  auditor.Stop();
+  EXPECT_EQ(alarms.load(), 0);
+  EXPECT_GE(db->metrics()->counter("repair.success")->Value(), 1u);
+  report = db->Audit();
+  ASSERT_OK(report.status());
+  EXPECT_TRUE(report->clean);
+  txn = db->Begin();
+  for (uint32_t i = 0; i < kRecords; ++i) {
+    std::string got;
+    ASSERT_OK(db->Read(*txn, *table, i, &got));
+    EXPECT_EQ(got, expected[i]) << "slot " << i;
+  }
+  ASSERT_OK(db->Commit(*txn));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ConcurrentFoldsTest,
+    ::testing::Values(SchemeCase{ProtectionScheme::kDataCodeword, 64},
+                      SchemeCase{ProtectionScheme::kDataCodeword, 512},
+                      SchemeCase{ProtectionScheme::kReadPrecheck, 64},
+                      SchemeCase{ProtectionScheme::kReadPrecheck, 512},
+                      SchemeCase{ProtectionScheme::kReadLog, 64},
+                      SchemeCase{ProtectionScheme::kReadLog, 512},
+                      SchemeCase{ProtectionScheme::kCodewordReadLog, 64},
+                      SchemeCase{ProtectionScheme::kCodewordReadLog, 512}),
+    SchemeCaseName);
 
 // ---------- Read Prechecking specifics ----------
 
@@ -220,10 +356,6 @@ TEST(ReadPrecheck, CorruptReadIsRefused) {
   TempDir dir;
   DatabaseOptions opts =
       SmallDbOptions(dir.path(), ProtectionScheme::kReadPrecheck, 128);
-  // 32, not the default 64: the repair attempt this test provokes holds
-  // every member region's protection latch at once, and TSan's deadlock
-  // detector aborts the process past 64 simultaneously held locks.
-  opts.protection.parity_group_regions = 32;
   auto db = Database::Open(opts);
   ASSERT_TRUE(db.ok());
   auto txn = (*db)->Begin();
@@ -241,7 +373,7 @@ TEST(ReadPrecheck, CorruptReadIsRefused) {
   // record size) stays clean.
   DbPtr off = (*db)->image()->RecordOff(*t, rid->slot);
   uint64_t r = off / 128;
-  uint64_t sib = (r % 32 <= 29) ? r + 2 : r - 2;
+  uint64_t sib = (r % 64 <= 61) ? r + 2 : r - 2;
   FaultInjector inject(db->get(), 3);
   inject.WildWriteAt(off + 4, "XX");
   ASSERT_TRUE(inject.WildWriteAt(sib * 128 + 4, "XX").changed_bits);
@@ -264,8 +396,6 @@ TEST(ReadPrecheck, CacheRecoveryRepairsRegionInPlace) {
   TempDir dir;
   DatabaseOptions opts =
       SmallDbOptions(dir.path(), ProtectionScheme::kReadPrecheck, 128);
-  // 32-region groups for the same TSan held-locks reason as above.
-  opts.protection.parity_group_regions = 32;
   auto db = Database::Open(opts);
   ASSERT_TRUE(db.ok());
   auto txn = (*db)->Begin();
@@ -286,7 +416,7 @@ TEST(ReadPrecheck, CacheRecoveryRepairsRegionInPlace) {
   // what heals the image.
   DbPtr off = (*db)->image()->RecordOff(*t, rid->slot);
   uint64_t r = off / 128;
-  uint64_t sib = (r % 32 <= 29) ? r + 2 : r - 2;
+  uint64_t sib = (r % 64 <= 61) ? r + 2 : r - 2;
   FaultInjector inject(db->get(), 4);
   inject.WildWriteAt(off + 2, "??");
   ASSERT_TRUE(inject.WildWriteAt(sib * 128 + 2, "??").changed_bits);

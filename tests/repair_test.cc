@@ -370,11 +370,6 @@ TEST(Repair, ConcurrentTpcbWritersWithInPlaceRepairs) {
       (cfg.MinArenaSize(opts.page_size) + (4u << 20) + 4095) & ~uint64_t{4095};
   opts.protection.scheme = ProtectionScheme::kDataCodeword;
   opts.protection.region_size = kRegion;
-  // 32, not the production default 64: a repair holds every member region's
-  // protection latch at once, and TSan's deadlock detector aborts the
-  // process (a hard CHECK, not a report) past 64 simultaneously held locks.
-  // 32 keeps the run under the cap with lock-order verification still on.
-  opts.protection.parity_group_regions = 32;
   Result<std::unique_ptr<Database>> dbr = Database::Open(opts);
   ASSERT_OK(dbr.status());
   Database* db = dbr->get();
@@ -384,8 +379,8 @@ TEST(Repair, ConcurrentTpcbWritersWithInPlaceRepairs) {
 
   // A dedicated victim table: its region-aligned records are the only bytes
   // the injector touches, so wild writes never race a legitimate update to
-  // the same region (repairs may still share parity groups and latch
-  // stripes with the TPC-B tables — that contention is the point).
+  // the same region (repairs may still share parity groups, and so gates,
+  // with the TPC-B tables — that contention is the point).
   constexpr uint32_t kVictims = 16;
   Result<Transaction*> txn = db->Begin();
   ASSERT_OK(txn.status());
