@@ -5,8 +5,9 @@
 //
 //   make_corpus <repo-root>
 //
-// writes fuzz/corpus/parity_sidecar/seed-valid and
-// fuzz/corpus/blackbox_decode/seed-valid under <repo-root>.
+// writes fuzz/corpus/parity_sidecar/seed-valid,
+// fuzz/corpus/blackbox_decode/seed-valid and
+// fuzz/corpus/ckpt_meta/seed-valid under <repo-root>.
 
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
+#include "common/coding.h"
 #include "common/file_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -44,6 +47,24 @@ int Run(const std::string& root) {
                              blob);
   if (!s.ok()) {
     std::fprintf(stderr, "parity seed: %s\n", s.ToString().c_str());
+    return 1;
+  }
+
+  // Checkpoint meta at the geometry fuzz_ckpt_meta decodes against, with
+  // an ATT of one transaction holding an empty undo log.
+  CheckpointMeta meta;
+  meta.ck_end = 4096;
+  PutFixed32(&meta.att_blob, 1);
+  PutFixed64(&meta.att_blob, 7);
+  PutFixed32(&meta.att_blob, 0);
+  const std::string meta_dir = root + "/fuzz/corpus/ckpt_meta";
+  s = MakeDirs(meta_dir);
+  if (s.ok()) {
+    s = WriteFileAtomic(meta_dir + "/seed-valid",
+                        EncodeCheckpointMeta(meta, 1 << 20, 4096));
+  }
+  if (!s.ok()) {
+    std::fprintf(stderr, "ckpt meta seed: %s\n", s.ToString().c_str());
     return 1;
   }
 

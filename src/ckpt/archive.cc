@@ -1,6 +1,9 @@
 #include "ckpt/archive.h"
 
+#include <cstring>
+
 #include "common/file_util.h"
+#include "storage/layout.h"
 
 namespace cwdb {
 
@@ -27,32 +30,31 @@ Result<CheckpointMeta> CreateArchive(const DbFiles& db_files,
   int which = anchor == "A" ? 0 : anchor == "B" ? 1 : -1;
   if (which < 0) return Status::Corruption("bad checkpoint anchor");
 
+  std::string image;
+  CWDB_RETURN_IF_ERROR(ReadFileToString(db_files.CkptImage(which), &image));
+  std::string meta_bytes;
+  CWDB_RETURN_IF_ERROR(ReadFileToString(db_files.CkptMeta(which), &meta_bytes));
+  // The meta must describe the image it is archived with: decode it
+  // against the geometry in the image's own header.
+  if (image.size() < kHeaderOff + sizeof(DbHeaderRaw)) {
+    return Status::Corruption("checkpoint image too small");
+  }
+  DbHeaderRaw header;
+  std::memcpy(&header, image.data() + kHeaderOff, sizeof(header));
+  CWDB_ASSIGN_OR_RETURN(
+      CheckpointMeta meta,
+      DecodeCheckpointMeta(meta_bytes, header.arena_size, header.page_size));
+
   CWDB_RETURN_IF_ERROR(
-      CopyFile(db_files.CkptImage(which), archive_dir + kArchiveImage));
-  CWDB_RETURN_IF_ERROR(
-      CopyFile(db_files.CkptMeta(which), archive_dir + kArchiveMeta));
+      WriteFileAtomic(archive_dir + kArchiveImage, image, "archive.file"));
+  CWDB_RETURN_IF_ERROR(WriteFileAtomic(archive_dir + kArchiveMeta, meta_bytes,
+                                       "archive.file"));
   CWDB_RETURN_IF_ERROR(
       CopyFile(db_files.SystemLog(), archive_dir + kArchiveLog));
   if (FileExists(db_files.AuditMeta())) {
     CWDB_RETURN_IF_ERROR(
         CopyFile(db_files.AuditMeta(), archive_dir + kArchiveAudit));
   }
-  // Re-read the archived meta through a throwaway DbFiles view is not
-  // possible (names differ), so parse nothing here: the caller can read
-  // CK_end from the database. For convenience, decode the copied meta by
-  // writing it under a temp DbFiles-compatible name... simpler: read the
-  // live meta again via its own path using the image-independent part.
-  // The meta file format is validated on restore; here we only report the
-  // ck_end by scanning the copy for the caller.
-  std::string meta_contents;
-  CWDB_RETURN_IF_ERROR(
-      ReadFileToString(archive_dir + kArchiveMeta, &meta_contents));
-  CheckpointMeta meta;
-  // Layout: magic(8) ck_end(8) ... (see Checkpointer::WriteMeta).
-  if (meta_contents.size() < 16) {
-    return Status::Corruption("archived meta too small");
-  }
-  std::memcpy(&meta.ck_end, meta_contents.data() + 8, 8);
   return meta;
 }
 

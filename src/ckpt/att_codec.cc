@@ -1,16 +1,19 @@
 #include "ckpt/att_codec.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 
 namespace cwdb {
 
-std::string EncodeAtt(const TxnManager& mgr) {
+std::string EncodeAtt(TxnManager& mgr) {
   std::string out;
-  const auto& att = mgr.att();
-  PutFixed32(&out, static_cast<uint32_t>(att.size()));
-  for (const auto& [id, txn] : att) {
-    PutFixed64(&out, id);
-    const auto& undo = txn->undo_log();
+  PutFixed32(&out, 0);  // Transaction count, patched after the walk.
+  uint32_t count = 0;
+  mgr.ForEachActive([&](const Transaction& txn) {
+    ++count;
+    PutFixed64(&out, txn.id());
+    const auto& undo = txn.undo_log();
     PutFixed32(&out, static_cast<uint32_t>(undo.size()));
     for (const UndoRecord& u : undo) {
       PutFixed8(&out, static_cast<uint8_t>(u.kind));
@@ -30,7 +33,8 @@ std::string EncodeAtt(const TxnManager& mgr) {
         PutLengthPrefixed(&out, u.undo.payload);
       }
     }
-  }
+  });
+  std::memcpy(out.data(), &count, sizeof(count));
   return out;
 }
 

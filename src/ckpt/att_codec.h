@@ -15,8 +15,8 @@ namespace cwdb {
 
 /// Serializes every active transaction's id and undo log. Must be called
 /// with the checkpoint latch held exclusively (no local-log mutation in
-/// flight).
-std::string EncodeAtt(const TxnManager& mgr);
+/// flight); the walk itself holds the ATT lock (TxnManager::ForEachActive).
+std::string EncodeAtt(TxnManager& mgr);
 
 /// Rebuilds ATT entries from a checkpointed blob (restart recovery).
 /// Existing ATT contents are preserved; decoded transactions are created

@@ -3,8 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "ckpt/att_codec.h"
 #include "common/coding.h"
@@ -20,7 +22,51 @@ namespace {
 
 constexpr uint64_t kMetaMagic = 0x434B50544D455441ull;  // "CKPTMETA"
 
+/// Read buffer of the load-time comparison pass (rounded down to whole
+/// pages, at least one page).
+constexpr uint64_t kCompareChunkBytes = 1 << 20;
+
 }  // namespace
+
+std::string EncodeCheckpointMeta(const CheckpointMeta& meta,
+                                 uint64_t arena_size, uint32_t page_size) {
+  std::string out;
+  PutFixed64(&out, kMetaMagic);
+  PutFixed64(&out, meta.ck_end);
+  PutFixed64(&out, arena_size);
+  PutFixed32(&out, page_size);
+  PutLengthPrefixed(&out, meta.att_blob);
+  PutFixed32(&out, Crc32c(out.data(), out.size()));
+  return out;
+}
+
+Result<CheckpointMeta> DecodeCheckpointMeta(Slice contents,
+                                            uint64_t arena_size,
+                                            uint32_t page_size) {
+  if (contents.size() < 4) {
+    return Status::Corruption("checkpoint meta too short");
+  }
+  const Slice body(contents.data(), contents.size() - 4);
+  if (Crc32c(body.data(), body.size()) !=
+      DecodeFixed32(contents.data() + body.size())) {
+    return Status::Corruption("checkpoint meta CRC mismatch");
+  }
+  Decoder dec(body);
+  if (dec.GetFixed64() != kMetaMagic) {
+    return Status::Corruption("checkpoint meta bad magic");
+  }
+  CheckpointMeta meta;
+  meta.ck_end = dec.GetFixed64();
+  const uint64_t meta_arena_size = dec.GetFixed64();
+  const uint32_t meta_page_size = dec.GetFixed32();
+  Slice att = dec.GetLengthPrefixed();
+  if (!dec.ok()) return Status::Corruption("checkpoint meta truncated");
+  if (meta_arena_size != arena_size || meta_page_size != page_size) {
+    return Status::Corruption("checkpoint geometry mismatch");
+  }
+  meta.att_blob.assign(att.data(), att.size());
+  return meta;
+}
 
 Checkpointer::Checkpointer(const DbFiles& files, DbImage* image,
                            TxnManager* txns, SystemLog* log,
@@ -38,7 +84,8 @@ Checkpointer::Checkpointer(const DbFiles& files, DbImage* image,
 }
 
 Status Checkpointer::InitializeFresh() {
-  image_->MarkAllDirty();
+  image_->MarkAllDirty(0);
+  image_->MarkAllDirty(1);
   CWDB_RETURN_IF_ERROR(crashpoint::Check("ckpt.image.setsize"));
   CWDB_RETURN_IF_ERROR(EnsureFileSize(files_.CkptImage(0), image_->size()));
   CWDB_RETURN_IF_ERROR(crashpoint::Check("ckpt.image.setsize"));
@@ -206,43 +253,16 @@ Status Checkpointer::WriteDurable(int which,
 }
 
 Status Checkpointer::WriteMeta(int which, const CheckpointMeta& meta) {
-  std::string body;
-  PutFixed64(&body, kMetaMagic);
-  PutFixed64(&body, meta.ck_end);
-  PutFixed64(&body, image_->size());
-  PutFixed32(&body, image_->page_size());
-  PutLengthPrefixed(&body, meta.att_blob);
-  std::string out = body;
-  PutFixed32(&out, Crc32c(body.data(), body.size()));
-  return WriteFileAtomic(files_.CkptMeta(which), out, "ckpt.meta");
+  return WriteFileAtomic(
+      files_.CkptMeta(which),
+      EncodeCheckpointMeta(meta, image_->size(), image_->page_size()),
+      "ckpt.meta");
 }
 
 Result<CheckpointMeta> Checkpointer::ReadMeta(int which) const {
   std::string contents;
   CWDB_RETURN_IF_ERROR(ReadFileToString(files_.CkptMeta(which), &contents));
-  if (contents.size() < 4) {
-    return Status::Corruption("checkpoint meta too short");
-  }
-  std::string body = contents.substr(0, contents.size() - 4);
-  uint32_t crc = DecodeFixed32(contents.data() + contents.size() - 4);
-  if (Crc32c(body.data(), body.size()) != crc) {
-    return Status::Corruption("checkpoint meta CRC mismatch");
-  }
-  Decoder dec(body);
-  if (dec.GetFixed64() != kMetaMagic) {
-    return Status::Corruption("checkpoint meta bad magic");
-  }
-  CheckpointMeta meta;
-  meta.ck_end = dec.GetFixed64();
-  uint64_t arena_size = dec.GetFixed64();
-  uint32_t page_size = dec.GetFixed32();
-  if (arena_size != image_->size() || page_size != image_->page_size()) {
-    return Status::Corruption("checkpoint geometry mismatch");
-  }
-  Slice att = dec.GetLengthPrefixed();
-  meta.att_blob.assign(att.data(), att.size());
-  if (!dec.ok()) return Status::Corruption("checkpoint meta truncated");
-  return meta;
+  return DecodeCheckpointMeta(contents, image_->size(), image_->page_size());
 }
 
 Result<int> Checkpointer::ReadAnchor() const {
@@ -288,16 +308,51 @@ Result<CheckpointMeta> Checkpointer::LoadActive() {
   // the bytes that landed on disk, so a flip during the image write was
   // loaded silently. Verify the loaded bytes against the checkpoint's
   // parity sidecar and repair in place what the budget covers.
-  CWDB_RETURN_IF_ERROR(VerifyLoadedImage(which, meta));
-  // Everything is dirty relative to both images until proven otherwise —
-  // after a crash the volatile dirty sets are gone, so the next checkpoint
-  // to each image must be full. (This also carries any load-time repair
-  // into the next certified checkpoint.)
-  image_->MarkAllDirty();
+  std::vector<CorruptRange> repaired;
+  CWDB_RETURN_IF_ERROR(VerifyLoadedImage(which, meta, &repaired));
+  // The volatile dirty sets died with the previous incarnation; rebuild
+  // both from bytes. The loaded image's file holds the arena except where
+  // the load repaired it. The other file holds whatever its last write
+  // left (a whole checkpoint, a torn one, an older state), so it is dirty
+  // exactly where its bytes differ. A skipped page is then one its target
+  // file already holds, whatever happened before this load.
+  image_->ClearDirty(which);
+  MarkPagesDifferingFromFile(1 - which);
+  for (const CorruptRange& r : repaired) image_->MarkDirty(r.off, r.len);
   return meta;
 }
 
-Status Checkpointer::VerifyLoadedImage(int which, const CheckpointMeta& meta) {
+void Checkpointer::MarkPagesDifferingFromFile(int which) {
+  const uint64_t page_size = image_->page_size();
+  const uint64_t chunk =
+      std::max(page_size, kCompareChunkBytes / page_size * page_size);
+  std::unique_ptr<uint8_t[]> buf(new uint8_t[chunk]);
+  image_->ClearDirty(which);
+  int fd = ::open(files_.CkptImage(which).c_str(), O_RDONLY);
+  if (fd < 0) {
+    image_->MarkAllDirty(which);
+    return;
+  }
+  std::vector<uint64_t> pages;
+  for (uint64_t off = 0; off < image_->size(); off += chunk) {
+    const uint64_t len = std::min(chunk, image_->size() - off);
+    if (!PReadAll(fd, buf.get(), len, off).ok()) {
+      ::close(fd);
+      image_->MarkAllDirty(which);
+      return;
+    }
+    for (uint64_t p = 0; p < len; p += page_size) {
+      if (std::memcmp(buf.get() + p, image_->At(off + p), page_size) != 0) {
+        pages.push_back((off + p) / page_size);
+      }
+    }
+  }
+  ::close(fd);
+  image_->MarkPagesDirty(which, pages);
+}
+
+Status Checkpointer::VerifyLoadedImage(int which, const CheckpointMeta& meta,
+                                       std::vector<CorruptRange>* repaired) {
   std::string blob;
   Status read = ReadFileToString(files_.CkptParity(which), &blob,
                                  MissingFile::kTreatAsEmpty);
@@ -344,6 +399,7 @@ Status Checkpointer::VerifyLoadedImage(int which, const CheckpointMeta& meta) {
   RepairImageWithSidecar(sidecar, image_->base(), detected, /*apply=*/true,
                          &report);
   metrics_->counter("repair.load_repaired")->Add(report.repaired.size());
+  *repaired = report.repaired;
   metrics_->counter("repair.load_unrepaired")->Add(report.unrepaired.size());
   for (const CorruptRange& r : report.repaired) {
     metrics_->trace().Record(TraceEventType::kRepair, meta.ck_end, r.off,

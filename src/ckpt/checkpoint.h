@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/slice.h"
 #include "common/status.h"
 #include "protect/protection.h"
 #include "storage/db_image.h"
@@ -69,6 +70,17 @@ struct CheckpointMeta {
   std::string att_blob;  ///< Checkpointed ATT with local undo logs.
 };
 
+/// The ckpt_{A,B}.meta codec: magic, CK_end, the arena geometry the image
+/// was taken at, the length-prefixed ATT and a CRC32C over all of it. The
+/// decoder reads a file a crash may have left torn or that an operator may
+/// have damaged: a short file, a CRC or magic mismatch, a truncated body
+/// and a geometry other than `arena_size`/`page_size` are Corruption.
+std::string EncodeCheckpointMeta(const CheckpointMeta& meta,
+                                 uint64_t arena_size, uint32_t page_size);
+Result<CheckpointMeta> DecodeCheckpointMeta(Slice contents,
+                                            uint64_t arena_size,
+                                            uint32_t page_size);
+
 /// Ping-pong checkpointer (paper §2.1): dirty pages are written alternately
 /// to two checkpoint images Ckpt_A / Ckpt_B; the anchor file cur_ckpt names
 /// the most recent complete one and is toggled atomically after the image,
@@ -100,7 +112,9 @@ class Checkpointer {
   Result<int> ReadAnchor() const;
 
   /// Loads the active checkpoint image into the live arena and returns its
-  /// metadata. Used by restart recovery.
+  /// metadata. Used by restart recovery. Both dirty sets are rebuilt from
+  /// bytes: the loaded image is dirty only where the load repaired it, the
+  /// other image only where its file differs from the loaded arena.
   Result<CheckpointMeta> LoadActive();
 
   /// Reads only the metadata of the active checkpoint (cache recovery).
@@ -135,11 +149,16 @@ class Checkpointer {
   Result<CheckpointMeta> ReadMeta(int which) const;
   /// Closes the DESIGN §8 hole: verifies the freshly-loaded arena bytes
   /// against image `which`'s parity sidecar, repairs what the correction
-  /// budget covers (filing a linked detection + kRepair dossier pair), and
-  /// fails loudly (Corruption) only when damage exceeds the budget. A
-  /// missing, torn or stale sidecar means "no verification possible" and
-  /// returns OK.
-  Status VerifyLoadedImage(int which, const CheckpointMeta& meta);
+  /// budget covers (filing a linked detection + kRepair dossier pair, and
+  /// returning the regions through *repaired), and fails loudly
+  /// (Corruption) only when damage exceeds the budget. A missing, torn or
+  /// stale sidecar means "no verification possible" and returns OK.
+  Status VerifyLoadedImage(int which, const CheckpointMeta& meta,
+                           std::vector<CorruptRange>* repaired);
+  /// Replaces image `which`'s dirty set with the pages whose bytes in its
+  /// file differ from the arena, in one streaming pass through a bounded
+  /// buffer; every page when the file is missing, short or unreadable.
+  void MarkPagesDifferingFromFile(int which);
 
   struct Instruments {
     Counter* checkpoints;

@@ -435,6 +435,11 @@ uint64_t Database::CountRecords(TableId table) const {
 }
 
 Status Database::Checkpoint() {
+  std::lock_guard<std::mutex> guard(checkpoint_mu_);
+  return CheckpointLocked();
+}
+
+Status Database::CheckpointLocked() {
   const bool certify =
       options_.certify_checkpoints && options_.protection.UsesCodewords();
   // The certification audit begins no earlier than here.
@@ -480,7 +485,7 @@ Result<AuditReport> Database::Audit() {
   metrics_.counter("audit.clean_passes")->Add();
   // A clean full audit certifies every shard as of its begin LSN.
   if (scrub_ != nullptr) scrub_->NoteFullAudit(report.audit_lsn);
-  CWDB_RETURN_IF_ERROR(WriteAuditMeta(files_.AuditMeta(), report.audit_lsn));
+  CWDB_RETURN_IF_ERROR(RecordCleanAudit(report.audit_lsn));
   return report;
 }
 
@@ -556,6 +561,7 @@ Status Database::RecoverFromCorruption(const std::vector<CorruptRange>& ranges,
 }
 
 Status Database::RecordCleanAudit(Lsn audit_lsn) {
+  std::lock_guard<std::mutex> guard(checkpoint_mu_);
   return WriteAuditMeta(files_.AuditMeta(), audit_lsn);
 }
 
@@ -571,7 +577,8 @@ Status Database::RecoverToPriorState(Lsn point) {
 }
 
 Result<Lsn> Database::Archive(const std::string& archive_dir) {
-  CWDB_RETURN_IF_ERROR(Checkpoint());
+  std::lock_guard<std::mutex> guard(checkpoint_mu_);
+  CWDB_RETURN_IF_ERROR(CheckpointLocked());
   CWDB_RETURN_IF_ERROR(log_->Flush());
   CWDB_ASSIGN_OR_RETURN(CheckpointMeta meta,
                         CreateArchive(files_, archive_dir));

@@ -152,7 +152,8 @@ struct DatabaseStats {
 ///
 /// Thread-safety: distinct transactions may run on distinct threads;
 /// a single Transaction must not be used concurrently. Audit() and
-/// Checkpoint() may run concurrently with transactions. CrashAndRecover()
+/// Checkpoint() may run concurrently with transactions; concurrent
+/// Checkpoint() and Archive() calls run one at a time. CrashAndRecover()
 /// requires external quiescence (no in-flight calls on other threads).
 class Database {
  public:
@@ -400,6 +401,8 @@ class Database {
 
   Status OpenImpl();
   Status RunRecovery();
+  /// Checkpoint() with checkpoint_mu_ already held.
+  Status CheckpointLocked();
   /// Writes the corruption note for a failed audit/certification, filing
   /// the incident dossier whose id the note carries.
   Status NoteCorruption(const std::vector<CorruptRange>& ranges,
@@ -448,6 +451,13 @@ class Database {
   std::unique_ptr<StatsServer> stats_server_;
   /// Serializes DumpMetrics: explicit calls and the ticker's flushes.
   std::mutex flush_mu_;
+  /// One checkpoint at a time: two passes would read the same anchor,
+  /// target the same image and share WriteFileAtomic's temp file names.
+  /// Held across the pass and its audit-meta write, by Archive() until
+  /// the image it copies is safe from the next pass, and by every other
+  /// audit.meta replace (Audit(), RecordCleanAudit()), which shares the
+  /// same temp file name.
+  std::mutex checkpoint_mu_;
   std::mutex ticker_mu_;
   std::condition_variable ticker_cv_;
   bool stop_ticker_ = false;  ///< Guarded by ticker_mu_.

@@ -8,6 +8,9 @@
 #include "common/status.h"
 
 namespace cwdb {
+
+class Database;
+
 namespace crashharness {
 
 /// Fork-based crash-point torture harness, shared by the crash-matrix test
@@ -24,7 +27,8 @@ namespace crashharness {
 ///   3. a full codeword audit of the recovered image is clean, i.e. the
 ///      stored codeword table equals what a from-scratch rebuild of the
 ///      recovered bytes produces;
-///   4. the structural integrity sweep reports no violations.
+///   4. the structural integrity sweep reports no violations;
+///   5. the checkpoint images mirror the arena (CheckImagesMirrorArena).
 
 /// Child exit codes (crashpoint::kCrashExitCode = injected crash).
 constexpr int kDoneExitCode = 7;      ///< Script ran to the end.
@@ -70,6 +74,13 @@ Status VerifyAfterCrash(const std::string& dir,
                         bool require_committed_survive,
                         bool expect_unclean_box,
                         uint64_t* committed_out = nullptr);
+
+/// Invariant 5. With nothing written to the arena since `db`'s last
+/// checkpoint, the active image's file equals the arena byte for byte;
+/// after one more checkpoint (taken here), so does the other image's.
+/// Checkpoints write only the pages their dirty set names, so a page the
+/// set wrongly omits shows up here as a stale page in the file.
+Status CheckImagesMirrorArena(Database* db);
 
 /// Fork + workload + wait + verify for one case. `dir` must be fresh.
 /// Returns an error Status if the child exited abnormally for the mode,

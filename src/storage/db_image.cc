@@ -139,9 +139,4 @@ void DbImage::MarkPagesDirty(int which, const std::vector<uint64_t>& pages) {
   for (uint64_t p : pages) dirty_[which].Set(p);
 }
 
-void DbImage::MarkAllDirty() {
-  dirty_[0].Fill(true);
-  dirty_[1].Fill(true);
-}
-
 }  // namespace cwdb

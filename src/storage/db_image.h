@@ -90,7 +90,7 @@ class DbImage {
   /// Re-marks `pages` dirty in set `which` — a failed checkpoint restores
   /// the snapshot it cleared so the next checkpoint rewrites those pages.
   void MarkPagesDirty(int which, const std::vector<uint64_t>& pages);
-  void MarkAllDirty();
+  void MarkAllDirty(int which) { dirty_[which].Fill(true); }
   bool IsDirty(int which, uint64_t page) const {
     return dirty_[which].Test(page);
   }

@@ -227,11 +227,13 @@ Status TxnManager::Rollback(Transaction* txn) {
 
   AppendFrame(&txn->local_redo_, EncodeAbortTxn, txn->id_);
   {
+    // The abort record and the state change are one step for the
+    // checkpointer's ATT copy, as in Commit.
     SharedGuard guard(ckpt_latch_);
     MoveRedoToSystemLog(txn);
+    txn->state_ = Transaction::State::kAborted;
   }
   txn->in_rollback_ = false;
-  txn->state_ = Transaction::State::kAborted;
   return Status::OK();
 }
 

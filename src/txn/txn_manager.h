@@ -124,6 +124,21 @@ class TxnManager {
     return att_;
   }
 
+  /// Calls `fn(const Transaction&)` on each transaction still active, under
+  /// the ATT lock. The checkpointer copies the ATT this way while it holds
+  /// the checkpoint latch exclusively (lock order: checkpoint latch, then
+  /// the ATT lock; nothing takes them the other way round), so no entry is
+  /// inserted or freed and no undo log is mid-mutation during the walk. A
+  /// transaction whose commit or abort record is already staged is skipped:
+  /// that record may precede CK_end, and recovery must not roll it back.
+  template <typename Fn>
+  void ForEachActive(Fn&& fn) {
+    std::lock_guard<std::mutex> guard(att_mu_);
+    for (const auto& [id, txn] : att_) {
+      if (txn->state() == Transaction::State::kActive) fn(*txn);
+    }
+  }
+
   /// Ids of all currently active transactions, under the ATT lock — safe
   /// to call from other threads (forensics snapshots the set into a
   /// corruption dossier).

@@ -123,9 +123,11 @@ Result<std::unique_ptr<DbImage>> LoadColdImage(const DbFiles& files,
                 std::min<size_t>(contents.size(), image->size()));
     CWDB_RETURN_IF_ERROR(image->ValidateHeader());
     if (meta_out != nullptr) {
-      // Reuse the Checkpointer's meta reader through a scratch instance.
-      Checkpointer scratch(files, image.get(), nullptr, nullptr, nullptr);
-      CWDB_ASSIGN_OR_RETURN(*meta_out, scratch.ReadActiveMeta());
+      std::string meta;
+      CWDB_RETURN_IF_ERROR(ReadFileToString(files.CkptMeta(which), &meta));
+      CWDB_ASSIGN_OR_RETURN(*meta_out,
+                            DecodeCheckpointMeta(meta, image->size(),
+                                                 image->page_size()));
     }
     if (which_out != nullptr) *which_out = which;
     return image;
